@@ -158,41 +158,13 @@ def measure_engines(rounds: int = 2) -> dict:
                 base_engine["replay_refs_per_s"] / base_engine["floor_divisor"]
             ),
         }
-    # Streamed replay (informational row, no floor yet): the same
-    # workload generated through the bounded-chunk stream layer and
-    # consumed by the SoA engine's chunk fast path, so the published
-    # figures show what streaming costs relative to in-memory replay.
-    from repro.trace.stream import SyntheticTraceStream
-
-    streamed_best = 0.0
-    for _ in range(rounds):
-        stream = SyntheticTraceStream(_spec(total_refs=shape["total_refs"]))
-        machine = Multiprocessor(
-            stream.layout,
-            shape["n_cpus"],
-            HierarchyConfig.sized(shape["l1"], shape["l2"]),
-            engine="soa",
-        )
-        result = machine.run(stream)
-        assert result.refs_processed == shape["total_refs"]
-        streamed_best = max(
-            streamed_best, result.refs_processed / result.timings["replay_s"]
-        )
-
     obj_rate = engines["object"]["replay_refs_per_s"]
     soa_rate = engines["soa"]["replay_refs_per_s"]
     return {
         "workload": shape,
         "engines": engines,
         "soa_speedup": round(soa_rate / obj_rate, 3),
-        "streamed_soa_refs_per_s": round(streamed_best),
         "trace_gen_refs_per_s": round(shape["total_refs"] / trace_gen_s),
-        # Legacy flat fields (pre-engine consumers read these).
-        "replay_refs_per_s": obj_rate,
-        "baseline_refs_per_s": baseline["replay_refs_per_s"],
-        "floor_refs_per_s": round(
-            baseline["replay_refs_per_s"] / baseline["floor_divisor"]
-        ),
     }
 
 

@@ -1,6 +1,7 @@
-"""Static verification tooling: model checker, lint pack, sanitizer.
+"""Static verification tooling: model checker, analyzer, runtime guards.
 
-Three tools live here, all with console entry points:
+The package exports nothing itself; import the submodule you need.
+Its console entry points:
 
 * ``repro-verify`` (:mod:`repro.analysis.verify`) — an explicit-state
   model checker that drives a tiny two-processor machine through every
@@ -8,43 +9,22 @@ Three tools live here, all with console entry points:
   (V-cache state x R-subentry state x peer state x write-buffer
   state) for one tracked physical block, and checks the DESIGN.md §5
   invariants on every reachable state.
-* ``repro-lint`` (:mod:`repro.analysis.lint`) — a stdlib-``ast`` lint
-  pack with repo-specific rules (metric-name validity, tracer slot
-  discipline, ``__slots__`` on hot classes, no allocation in hot
-  loops).
-* ``repro-sanitize`` (:mod:`repro.analysis.sanitize`) — a whole-repo
-  dataflow analyzer: determinism taint (nondeterminism sources
-  reaching cache keys, journal records, simulation state) and asyncio
-  hazards in the serve layer.  Its runtime companions —
-  :class:`~repro.analysis.runtime.DeterminismGuard` and
-  :class:`~repro.analysis.runtime.LoopStallWatchdog` — live in
-  :mod:`repro.analysis.runtime` and back the ``--sanitize`` flags on
-  ``repro-experiment`` and ``repro-serve``.
+* ``repro-lint`` (:mod:`repro.analysis.driver`) — the one stdlib-``ast``
+  analyzer.  It runs two rule sets over one parse of each file: the
+  per-file RPL rules (:mod:`repro.analysis.lint`: metric-name
+  validity, tracer slot discipline, ``__slots__`` on hot classes, no
+  allocation in hot loops) and the whole-package RPS rules
+  (:mod:`repro.analysis.sanitize`: determinism taint from
+  nondeterminism sources into cache keys, journal records and
+  simulation state, and asyncio hazards in the serve layer).  One set
+  of ``# rps: ignore[...]`` pragmas and one fingerprint baseline
+  (:mod:`repro.analysis.findings`) cover both.
+* ``repro-diff`` (:mod:`repro.analysis.differential`) — the
+  object-vs-SoA engine differential harness.
+
+The runtime companions of the RPS rules —
+:class:`~repro.analysis.runtime.DeterminismGuard` and
+:class:`~repro.analysis.runtime.LoopStallWatchdog` — live in
+:mod:`repro.analysis.runtime` and back the ``--sanitize`` flags on
+``repro-experiment`` and ``repro-serve``.
 """
-
-from .explore import ExplorationLimitError, ScenarioReport, Transition, explore
-from .lint import Finding, lint_paths, lint_source
-from .model import SCENARIOS, ProtocolModel, Scenario, snoop_table
-from .runtime import DeterminismGuard, DeterminismViolation, LoopStallWatchdog
-from .sanitize import analyze_paths, analyze_sources
-from .sanitize import Finding as SanitizeFinding
-
-__all__ = [
-    "DeterminismGuard",
-    "DeterminismViolation",
-    "ExplorationLimitError",
-    "Finding",
-    "LoopStallWatchdog",
-    "ProtocolModel",
-    "SCENARIOS",
-    "SanitizeFinding",
-    "Scenario",
-    "ScenarioReport",
-    "Transition",
-    "analyze_paths",
-    "analyze_sources",
-    "explore",
-    "lint_paths",
-    "lint_source",
-    "snoop_table",
-]

@@ -1,7 +1,8 @@
-"""``repro-lint``: a stdlib-``ast`` lint pack with repo-specific rules.
+"""The RPL rules of ``repro-lint``: per-file AST checks of this
+repo's conventions.
 
-The generic linters cannot know this repo's conventions, so four
-rules encode them directly:
+The generic linters cannot know these conventions, so five rules
+encode them directly:
 
 * **RPL001** — every dotted metric-name string literal passed to a
   :class:`~repro.obs.metrics.MetricsRegistry` method (``inc``,
@@ -34,18 +35,18 @@ rules encode them directly:
 Rules are scoped: RPL001/RPL002 skip ``tests/`` (tests construct
 synthetic registries and tracers on purpose) and the defining modules
 themselves; RPL003/RPL004 apply only to the hot-module allowlist;
-RPL005 only to the chunk-loop function map.
+RPL005 only to the chunk-loop function map.  The driver
+(:mod:`repro.analysis.driver`) parses each file and calls
+:func:`check_tree`.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import json
-import sys
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterator
 from pathlib import Path
+
+from .findings import Finding, module_key
 
 #: Rule id -> one-line summary (``repro-lint --list-rules``).
 RULES: dict[str, str] = {
@@ -70,7 +71,8 @@ _METRIC_METHODS = frozenset(
 _DYNAMIC_METRIC_PREFIXES = ("bus.", "misc.")
 
 #: Modules whose classes sit on the ``_run_fast`` replay path.  Keys
-#: are repo paths from the package root (see :func:`_module_key`).
+#: are repo paths from the package root (see
+#: :func:`~repro.analysis.findings.module_key`).
 HOT_MODULES = frozenset(
     {
         "repro/cache/block.py",
@@ -114,29 +116,6 @@ _SLOTLESS_BASES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Finding:
-    """One lint violation."""
-
-    rule: str
-    path: str
-    line: int
-    col: int
-    message: str
-
-    def render(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-
-
 def known_metric_names() -> frozenset[str]:
     """The canonical dotted metric namespace (RPL001's universe)."""
     from ..obs.metrics import (
@@ -165,16 +144,6 @@ def tracer_categories() -> frozenset[str]:
     return frozenset(CATEGORIES)
 
 
-def _module_key(path: str) -> str:
-    """Path from the package root: ``src/repro/mmu/tlb.py`` ->
-    ``repro/mmu/tlb.py``.  Paths outside the package keep their
-    as-given form."""
-    parts = Path(path).parts
-    if "repro" in parts:
-        return "/".join(parts[parts.index("repro") :])
-    return "/".join(parts)
-
-
 def _in_tests(path: str) -> bool:
     return "tests" in Path(path).parts
 
@@ -191,7 +160,7 @@ def _literal_str(node: ast.expr | None) -> str | None:
 def _check_metric_names(
     tree: ast.AST, path: str, known: frozenset[str]
 ) -> Iterator[Finding]:
-    key = _module_key(path)
+    key = module_key(path)
     if _in_tests(path) or key == "repro/obs/metrics.py":
         return
     for node in ast.walk(tree):
@@ -240,7 +209,7 @@ def _check_metric_names(
 def _check_tracer_sites(
     tree: ast.AST, path: str, categories: frozenset[str]
 ) -> Iterator[Finding]:
-    key = _module_key(path)
+    key = module_key(path)
     if (
         _in_tests(path)
         or not key.startswith("repro/")
@@ -349,7 +318,7 @@ def _declares_slots(node: ast.ClassDef) -> bool:
 
 
 def _check_hot_slots(tree: ast.AST, path: str) -> Iterator[Finding]:
-    if _module_key(path) not in HOT_MODULES:
+    if module_key(path) not in HOT_MODULES:
         return
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
@@ -391,7 +360,7 @@ def _alloc_nodes(root: ast.AST) -> Iterator[ast.AST]:
 
 
 def _check_hot_allocations(tree: ast.AST, path: str) -> Iterator[Finding]:
-    hot = HOT_FUNCTIONS.get(_module_key(path))
+    hot = HOT_FUNCTIONS.get(module_key(path))
     if not hot:
         return
     for node in ast.walk(tree):
@@ -437,7 +406,7 @@ _CHUNK_ALLOC_LABEL = {
 
 
 def _check_chunk_loop(tree: ast.AST, path: str) -> Iterator[Finding]:
-    chunk = CHUNK_LOOP_FUNCTIONS.get(_module_key(path))
+    chunk = CHUNK_LOOP_FUNCTIONS.get(module_key(path))
     if not chunk:
         return
     for node in ast.walk(tree):
@@ -473,110 +442,16 @@ def _check_chunk_loop(tree: ast.AST, path: str) -> Iterator[Finding]:
 # ------------------------------------------------------------------ API
 
 
-def lint_source(source: str, path: str) -> list[Finding]:
-    """Lint one file's source under its repo-relative ``path``.
+def check_tree(tree: ast.AST, path: str) -> list[Finding]:
+    """Every RPL finding in one parsed file.
 
-    The path drives rule scoping (hot-module membership, tests
-    exclusion), so tests can exercise any rule by supplying a crafted
-    path alongside a deliberately violating sample.
+    ``path`` (as given, repo-relative or not) drives rule scoping:
+    hot-module membership and the ``tests/`` exemption.
     """
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                "RPL000",
-                path,
-                exc.lineno or 1,
-                (exc.offset or 1) - 1,
-                f"syntax error: {exc.msg}",
-            )
-        ]
-    findings = [
+    return [
         *_check_metric_names(tree, path, known_metric_names()),
         *_check_tracer_sites(tree, path, tracer_categories()),
         *_check_hot_slots(tree, path),
         *_check_hot_allocations(tree, path),
         *_check_chunk_loop(tree, path),
     ]
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
-def _iter_files(paths: Iterable[str | Path]) -> Iterator[Path]:
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            yield from sorted(path.rglob("*.py"))
-        else:
-            yield path
-
-
-def lint_paths(paths: Iterable[str | Path]) -> list[Finding]:
-    """Lint every ``*.py`` file under the given files/directories."""
-    findings: list[Finding] = []
-    for path in _iter_files(paths):
-        findings.extend(lint_source(path.read_text(encoding="utf-8"), str(path)))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description="Repo-specific AST lint rules (RPL001-RPL005).",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default %(default)s)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue"
-    )
-    return parser
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.list_rules:
-        for rule, summary in sorted(RULES.items()):
-            print(f"{rule}  {summary}")
-        return 0
-    missing = [p for p in args.paths if not Path(p).exists()]
-    if missing:
-        print(f"no such path: {', '.join(missing)}", file=sys.stderr)
-        return 2
-    findings = lint_paths(args.paths)
-    if args.format == "json":
-        json.dump(
-            {
-                "ok": not findings,
-                "findings": [f.to_dict() for f in findings],
-            },
-            sys.stdout,
-            indent=2,
-            sort_keys=True,
-        )
-        print()
-    else:
-        for finding in findings:
-            print(finding.render())
-        n_files = sum(1 for _ in _iter_files(args.paths))
-        print(
-            f"{len(findings)} finding(s) in {n_files} file(s)"
-            if findings
-            else f"clean: {n_files} file(s), 0 findings"
-        )
-    return 1 if findings else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

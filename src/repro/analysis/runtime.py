@@ -1,6 +1,7 @@
 """Runtime sanitizer hooks: what static analysis cannot prove.
 
-Two companions to ``repro-sanitize`` (:mod:`repro.analysis.sanitize`):
+Two companions to the RPS rules of ``repro-lint``
+(:mod:`repro.analysis.sanitize`):
 
 * :class:`LoopStallWatchdog` — a daemon thread that heartbeats the
   asyncio event loop.  If the loop stops responding for longer than
@@ -45,16 +46,16 @@ class DeterminismViolation(RuntimeError):
     """A nondeterminism source was read from a guarded code path."""
 
 
-#: Module paths (suffix fragments) allowed to read guarded sources:
-#: provenance stamps and wall-clock timing metadata.  Mirrors the
-#: static analyzer's CLOCK_ALLOWED table.
-DEFAULT_ALLOWED: tuple[str, ...] = (
-    "repro/obs/manifest.py",
-    "repro/experiments/cli.py",
-    "repro/runner/pool.py",
-    "repro/serve/admission.py",
-    "repro/serve/breaker.py",
-    "repro/analysis/runtime.py",
+#: Modules allowed to read guarded sources: provenance stamps and
+#: wall-clock timing metadata.  The guard matches them as path
+#: suffixes; the static RPS102 rule treats them as taint barriers.
+CLOCK_ALLOWED: tuple[str, ...] = (
+    "repro/obs/manifest.py",  # created_at provenance stamps
+    "repro/experiments/cli.py",  # per-experiment wall timings
+    "repro/runner/pool.py",  # RunReport.elapsed_s
+    "repro/serve/admission.py",  # token-bucket clock
+    "repro/serve/breaker.py",  # sliding-window clock
+    "repro/analysis/runtime.py",  # the watchdog measures stalls
 )
 
 #: (module object, attribute) pairs the guard patches.  Deliberately
@@ -82,16 +83,16 @@ _PATCH_TARGETS: tuple[tuple[Any, str], ...] = (
 class DeterminismGuard:
     """Patch nondeterminism sources to raise (or count) in repo code.
 
+    Only repo code outside :data:`CLOCK_ALLOWED` is policed.  Callers
+    outside the ``repro`` package (stdlib ``logging``, ``asyncio``,
+    ``multiprocessing`` handshakes, test files) always pass through:
+    the guard polices this repo, not the world.
+
     Args:
         mode: ``"raise"`` (default) raises
             :class:`DeterminismViolation` at the offending call;
             ``"count"`` records it and calls through — useful for
             surveying a long run without aborting it.
-        allowed: module-path fragments permitted to call the sources
-            (default :data:`DEFAULT_ALLOWED`).  Callers outside the
-            ``repro`` package (stdlib ``logging``, ``asyncio``,
-            ``multiprocessing`` handshakes, test files) always pass
-            through: the guard polices this repo, not the world.
         registry: optional :class:`~repro.obs.MetricsRegistry`;
             violations bump ``sanitize.determinism_violation``.
 
@@ -101,16 +102,10 @@ class DeterminismGuard:
             result = simulate("paper-mix", scale=0.01)
     """
 
-    def __init__(
-        self,
-        mode: str = "raise",
-        allowed: tuple[str, ...] = DEFAULT_ALLOWED,
-        registry: Any = None,
-    ) -> None:
+    def __init__(self, mode: str = "raise", registry: Any = None) -> None:
         if mode not in ("raise", "count"):
             raise ValueError(f'mode must be "raise" or "count", got {mode!r}')
         self.mode = mode
-        self.allowed = allowed
         self.registry = registry
         self.violations: list[tuple[str, str, int]] = []
         self._originals: list[tuple[Any, str, Any]] = []
@@ -125,7 +120,7 @@ class DeterminismGuard:
         filename = frame.f_code.co_filename.replace("\\", "/")
         if "/repro/" not in filename and not filename.endswith("repro"):
             return None
-        if any(filename.endswith(suffix) for suffix in self.allowed):
+        if filename.endswith(CLOCK_ALLOWED):
             return None
         return filename, frame.f_lineno
 

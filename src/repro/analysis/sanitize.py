@@ -1,13 +1,14 @@
-"""``repro-sanitize``: whole-repo determinism-taint and async-hazard
-analysis.
+"""The RPS rules of ``repro-lint``: whole-package determinism-taint
+and async-hazard analysis.
 
 The repo's headline guarantee — bit-identical results across
 ``--jobs`` settings, engines, checkpoint resume and cache replay —
 is only as strong as the code that computes keys, evolves simulation
-state and writes journals.  ``repro-lint`` (:mod:`repro.analysis.lint`)
-checks single-node AST patterns; this module checks *dataflow*: it
-builds a module-level call graph over ``src/repro`` and tracks how
-nondeterminism sources and blocking calls flow through it.
+state and writes journals.  The RPL rules (:mod:`repro.analysis.lint`)
+check single-node AST patterns file by file; this module checks
+*dataflow*: it builds a module-level call graph over the ``repro``
+package and tracks how nondeterminism sources and blocking calls flow
+through it.
 
 Two rule families:
 
@@ -25,9 +26,10 @@ Two rule families:
       the functions that define result identity and payloads:
       simulation state evolution, result-cache key computation,
       journal records and metrics snapshots
-      (:data:`DETERMINISM_SINKS`).  The manifest/timing paths that
+      (:data:`DETERMINISM_SINKS`).  The manifest/timing modules that
       legitimately read clocks are allowlisted
-      (:data:`CLOCK_ALLOWED`) and act as propagation barriers.
+      (:data:`repro.analysis.runtime.CLOCK_ALLOWED`, shared with the
+      runtime guard) and act as propagation barriers.
     * **RPS103** — unseeded randomness (module-level ``random.*``
       functions, ``uuid.uuid1``/``uuid4``, ``os.urandom``,
       ``secrets.*``) is forbidden anywhere in the package; every RNG
@@ -58,12 +60,9 @@ Two rule families:
       lock-like object parks the coroutine while the lock stays
       held, blocking the loop's other tasks (and inviting deadlock).
 
-Findings can be silenced per line with ``# rps: ignore[RPS101]`` (or
-a bare ``# rps: ignore``), or accepted wholesale through a committed
-baseline file (``--baseline`` / ``--write-baseline``): entries are
-fingerprinted by rule, module and normalised source text so they
-survive line drift.  ``--strict`` additionally fails on stale
-baseline entries, keeping the baseline honest.
+The driver (:mod:`repro.analysis.driver`) parses the files and calls
+:func:`check_package`; its ``# rps: ignore[...]`` pragmas and
+fingerprint baseline cover these rules and the RPL rules alike.
 
 The runtime companions (:mod:`repro.analysis.runtime`) cover what
 static analysis cannot: an event-loop stall watchdog for the serving
@@ -73,16 +72,16 @@ patches the nondeterminism sources to raise during tier-1 runs.
 
 from __future__ import annotations
 
-import argparse
 import ast
-import json
 import re
-import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
-#: Rule id -> one-line summary (``repro-sanitize --list-rules``).
+from .findings import Finding, module_key
+from .runtime import CLOCK_ALLOWED
+
+#: Rule id -> one-line summary (``repro-lint --list-rules``).
 RULES: dict[str, str] = {
     "RPS000": "file must parse",
     "RPS101": "directory listings must be sorted or consumed "
@@ -196,60 +195,15 @@ DETERMINISM_SINKS: dict[str, frozenset[str]] = {
     "repro/obs/metrics.py": frozenset({"MetricsRegistry.snapshot"}),
 }
 
-#: Functions allowed to read clocks (RPS102 barriers): provenance and
-#: timing metadata *about* a run, never part of a result's identity.
-#: ``"*"`` allows a whole module.
-CLOCK_ALLOWED: dict[str, frozenset[str] | str] = {
-    "repro/obs/manifest.py": "*",  # created_at provenance stamps
-    "repro/experiments/cli.py": "*",  # per-experiment wall timings
-    "repro/runner/pool.py": "*",  # RunReport.elapsed_s
-    "repro/serve/admission.py": "*",  # token-bucket clock
-    "repro/serve/breaker.py": "*",  # sliding-window clock
-    "repro/analysis/runtime.py": "*",  # the watchdog measures stalls
-}
-
-#: ``# rps: ignore`` / ``# rps: ignore[RPS101,RPS203]`` pragmas.
-_PRAGMA_RE = re.compile(r"#\s*rps:\s*ignore(?:\[([A-Z0-9,\s]+)\])?")
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One sanitizer violation."""
-
-    rule: str
-    path: str
-    line: int
-    col: int
-    message: str
-    chain: tuple[str, ...] = ()
-
-    def render(self) -> str:
-        text = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-        if self.chain:
-            text += f" [via {' -> '.join(self.chain)}]"
-        return text
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "chain": list(self.chain),
-        }
-
 
 # ------------------------------------------------------------- module model
 
 
-def _module_key(path: str) -> str:
-    """Path from the package root (``src/repro/mmu/tlb.py`` ->
-    ``repro/mmu/tlb.py``); paths outside keep their as-given form."""
-    parts = Path(path).parts
-    if "repro" in parts:
-        return "/".join(parts[parts.index("repro") :])
-    return "/".join(parts)
+def in_package(path: str) -> bool:
+    """Is *path* a module of the ``repro`` package, the RPS rules'
+    scope?  (Tests and benchmarks are not.)"""
+    key = module_key(path)
+    return key.startswith("repro/") and key.endswith(".py")
 
 
 def _dotted_name(key: str) -> str:
@@ -288,7 +242,6 @@ class ModuleInfo:
     path: str
     dotted: str
     tree: ast.Module
-    lines: list[str]
     imports: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, set[str]] = field(default_factory=dict)
@@ -485,14 +438,6 @@ def _collect_calls(repo: Repo, module: ModuleInfo) -> None:
 # ----------------------------------------------------------------- taint
 
 
-def _allowed_clock(ref: str) -> bool:
-    key, _, qual = ref.partition("::")
-    allowed = CLOCK_ALLOWED.get(key)
-    if allowed is None:
-        return False
-    return allowed == "*" or qual in allowed
-
-
 def _wall_clock_findings(repo: Repo) -> Iterator[Finding]:
     """RPS102: DFS from each sink over internal edges; report every
     wall-clock call site reachable without crossing an allowlisted
@@ -530,7 +475,7 @@ def _taint_dfs(
             )
         elif kind == "int":
             callee = repo.function(ident)
-            if callee is None or _allowed_clock(ident):
+            if callee is None or ident.partition("::")[0] in CLOCK_ALLOWED:
                 continue
             yield from _taint_dfs(repo, callee, chain + (ident,), visited)
 
@@ -927,65 +872,31 @@ def _hash_findings(module: ModuleInfo) -> Iterator[Finding]:
             )
 
 
-# ------------------------------------------------------------------ driver
+# ------------------------------------------------------------------ entry
 
 
-def _suppressed(finding: Finding, repo: Repo) -> bool:
-    module = repo.modules.get(_module_key(finding.path))
-    if module is None or not 1 <= finding.line <= len(module.lines):
-        return False
-    match = _PRAGMA_RE.search(module.lines[finding.line - 1])
-    if match is None:
-        return False
-    if match.group(1) is None:
-        return True
-    rules = {part.strip() for part in match.group(1).split(",")}
-    return finding.rule in rules
-
-
-def build_repo(files: dict[str, str]) -> tuple[Repo, list[Finding]]:
-    """Parse *files* (path -> source) into a :class:`Repo`.
-
-    Only modules under the ``repro`` package participate; anything
-    else (tests, benchmarks) is ignored.  Unparseable files surface
-    as RPS000 findings.
-    """
+def build_repo(trees: Mapping[str, ast.Module]) -> Repo:
+    """The call-graph model of the package modules among *trees*
+    (path -> parsed module); anything else (tests, benchmarks) is
+    ignored."""
     repo = Repo()
-    broken: list[Finding] = []
-    for path, source in sorted(files.items()):
-        key = _module_key(path)
-        if not key.startswith("repro/") or not key.endswith(".py"):
+    for path, tree in sorted(trees.items()):
+        if not in_package(path):
             continue
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            broken.append(
-                Finding(
-                    "RPS000",
-                    path,
-                    exc.lineno or 1,
-                    (exc.offset or 1) - 1,
-                    f"syntax error: {exc.msg}",
-                )
-            )
-            continue
-        module = ModuleInfo(
-            key, path, _dotted_name(key), tree, source.splitlines()
-        )
+        key = module_key(path)
+        module = ModuleInfo(key, path, _dotted_name(key), tree)
         _collect_imports(module)
         _collect_functions(module)
         repo.add(module)
     for module in repo.modules.values():
         _collect_calls(repo, module)
-    return repo, broken
+    return repo
 
 
-def analyze_sources(files: dict[str, str]) -> list[Finding]:
-    """Analyse in-memory sources; the workhorse behind
-    :func:`analyze_paths` and the fixture tests."""
-    repo, findings = build_repo(files)
-    findings.extend(_wall_clock_findings(repo))
-    findings.extend(_async_blocking_findings(repo))
+def check_package(trees: Mapping[str, ast.Module]) -> list[Finding]:
+    """Every RPS finding in the package modules among *trees*."""
+    repo = build_repo(trees)
+    findings = [*_wall_clock_findings(repo), *_async_blocking_findings(repo)]
     for module in repo.modules.values():
         findings.extend(_fs_order_findings(repo, module))
         findings.extend(_random_findings(repo, module))
@@ -994,200 +905,4 @@ def analyze_sources(files: dict[str, str]) -> list[Finding]:
         findings.extend(_task_findings(module))
         findings.extend(_timeout_findings(module))
         findings.extend(_lock_findings(module))
-    findings = [f for f in findings if not _suppressed(f, repo)]
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
-
-
-def _iter_files(paths: Iterable[str | Path]) -> Iterator[Path]:
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            yield from sorted(path.rglob("*.py"))
-        else:
-            yield path
-
-
-def analyze_paths(paths: Iterable[str | Path]) -> list[Finding]:
-    """Analyse every ``*.py`` file under the given files/directories."""
-    files = {
-        str(path): path.read_text(encoding="utf-8")
-        for path in _iter_files(paths)
-    }
-    return analyze_sources(files)
-
-
-# ---------------------------------------------------------------- baseline
-
-
-def fingerprint(finding: Finding, files: dict[str, str]) -> str:
-    """Line-drift-tolerant identity: rule, module and normalised
-    source text of the flagged line."""
-    source = files.get(finding.path, "")
-    lines = source.splitlines()
-    text = ""
-    if 1 <= finding.line <= len(lines):
-        text = " ".join(lines[finding.line - 1].split())
-    return f"{finding.rule}|{_module_key(finding.path)}|{text}"
-
-
-def load_baseline(path: str | Path) -> dict[str, int]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    entries = data.get("entries", [])
-    counts: dict[str, int] = {}
-    for entry in entries:
-        counts[entry] = counts.get(entry, 0) + 1
-    return counts
-
-
-def write_baseline(
-    path: str | Path, findings: Sequence[Finding], files: dict[str, str]
-) -> None:
-    entries = sorted(fingerprint(f, files) for f in findings)
-    Path(path).write_text(
-        json.dumps(
-            {"format": "repro-sanitize-baseline", "version": 1, "entries": entries},
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-
-
-def apply_baseline(
-    findings: Sequence[Finding],
-    baseline: dict[str, int],
-    files: dict[str, str],
-) -> tuple[list[Finding], list[str]]:
-    """Subtract baselined findings; returns (fresh, stale-entries)."""
-    remaining = dict(baseline)
-    fresh: list[Finding] = []
-    for finding in findings:
-        key = fingerprint(finding, files)
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-        else:
-            fresh.append(finding)
-    stale = sorted(k for k, n in remaining.items() if n > 0)
-    return fresh, stale
-
-
-# -------------------------------------------------------------------- CLI
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-sanitize",
-        description=(
-            "Whole-repo determinism-taint and async-hazard analysis "
-            "(rules RPS101-RPS105, RPS201-RPS204)."
-        ),
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to analyse (default: src)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default %(default)s)",
-    )
-    parser.add_argument(
-        "--json-out",
-        metavar="PATH",
-        default=None,
-        help="also write the JSON report here (CI artifact)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="accepted-findings file (default: ./.repro-sanitize-baseline.json "
-        "when present)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        default=None,
-        help="write the current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="also fail on stale baseline entries",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue"
-    )
-    return parser
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.list_rules:
-        for rule, summary in sorted(RULES.items()):
-            print(f"{rule}  {summary}")
-        return 0
-    missing = [p for p in args.paths if not Path(p).exists()]
-    if missing:
-        print(f"no such path: {', '.join(missing)}", file=sys.stderr)
-        return 2
-    files = {
-        str(path): path.read_text(encoding="utf-8")
-        for path in _iter_files(args.paths)
-    }
-    findings = analyze_sources(files)
-
-    if args.write_baseline is not None:
-        write_baseline(args.write_baseline, findings, files)
-        print(
-            f"baseline written: {len(findings)} finding(s) -> "
-            f"{args.write_baseline}"
-        )
-        return 0
-
-    baseline_path = args.baseline
-    if baseline_path is None and Path(".repro-sanitize-baseline.json").is_file():
-        baseline_path = ".repro-sanitize-baseline.json"
-    stale: list[str] = []
-    if baseline_path is not None:
-        findings, stale = apply_baseline(
-            findings, load_baseline(baseline_path), files
-        )
-
-    report = {
-        "ok": not findings and not (args.strict and stale),
-        "findings": [f.to_dict() for f in findings],
-        "stale_baseline_entries": stale,
-    }
-    if args.json_out is not None:
-        Path(args.json_out).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    if args.format == "json":
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        print()
-    else:
-        for finding in findings:
-            print(finding.render())
-        for entry in stale:
-            print(f"stale baseline entry (fix or regenerate): {entry}")
-        n_files = len(files)
-        if findings:
-            print(f"{len(findings)} finding(s) in {n_files} file(s)")
-        else:
-            tail = f", {len(stale)} stale baseline entry(ies)" if stale else ""
-            print(f"clean: {n_files} file(s), 0 findings{tail}")
-    if findings:
-        return 1
-    if stale and args.strict:
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

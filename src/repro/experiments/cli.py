@@ -302,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "run under the determinism guard: wall-clock/unseeded-random/"
             "uuid/urandom reads from simulation code raise instead of "
-            "silently skewing keyed results (see repro-sanitize)"
+            "silently skewing keyed results (statically checked by "
+            "repro-lint's RPS rules)"
         ),
     )
     return parser

@@ -521,7 +521,7 @@ def _flush_metrics(path: str | None) -> None:
 async def serve_main(args: argparse.Namespace) -> int:
     # Off-loop: building the app reads every schema source file and
     # shells out for the git revision — blocking I/O that must not run
-    # on the loop even during startup (repro-sanitize RPS201).
+    # on the loop even during startup (repro-lint RPS201).
     app, scheduler = await asyncio.to_thread(_build_app, args)
     await scheduler.start()
     watchdog = None

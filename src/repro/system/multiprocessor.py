@@ -202,7 +202,7 @@ class Multiprocessor:
         """
         # Wall-clock reads below time the replay/guard phases for
         # SimulationResult.timings — metadata, never simulation
-        # state (repro-sanitize RPS102 pragmas mark each read).
+        # state (repro-lint RPS102 pragmas mark each read).
         started = perf_counter()  # rps: ignore[RPS102]
         guard_seconds = 0.0
         if (

@@ -57,7 +57,6 @@ from .stream import (
     KIND_TO_CODE,
     TraceChunk,
     TraceStream,
-    chunk_iter,
 )
 
 MAGIC = b"RPTB"
@@ -384,12 +383,3 @@ class BinaryTraceReader(TraceStream):
         info["sha256"] = self.digest()
         return info
 
-
-def convert_records(
-    source: TraceStream | Iterable[TraceRecord],
-    chunk_records: int = DEFAULT_CHUNK_RECORDS,
-) -> Iterator[TraceChunk]:
-    """Any record source as a chunk iterator (conversion plumbing)."""
-    if hasattr(source, "chunks"):
-        return source.chunks()
-    return chunk_iter(source, chunk_records)

@@ -1,27 +1,28 @@
-"""Tests for the ``repro-lint`` AST rule pack.
+"""Tests for the RPL rules and the ``repro-lint`` driver's CLI.
 
 Each rule gets a deliberately violating sample and a conforming one;
-the repo itself must lint clean (the same gate CI runs).
+the repo itself must lint clean (the same gate CI runs).  The CLI
+tests cover what the driver adds on top of both rule sets: one rule
+catalogue, pragmas and the baseline applied to RPL findings too, and
+one report per unparseable file.
 """
 
 import json
 import textwrap
 
-from repro.analysis.lint import (
-    RULES,
-    Finding,
-    known_metric_names,
-    lint_paths,
-    lint_source,
-    main,
-)
+from repro.analysis.driver import analyze_paths as lint_paths
+from repro.analysis.driver import analyze_sources, main
+from repro.analysis.findings import Finding
+from repro.analysis.lint import RULES as RPL_RULES
+from repro.analysis.lint import known_metric_names
+from repro.analysis.sanitize import RULES as RPS_RULES
 
 #: A non-hot, non-test path inside the package.
 SRC = "src/repro/experiments/sample.py"
 
 
 def lint(code, path=SRC):
-    return lint_source(textwrap.dedent(code), path)
+    return analyze_sources({path: textwrap.dedent(code)})
 
 
 def rules(findings):
@@ -212,14 +213,56 @@ class TestCli:
         assert main([str(broken)]) == 1
         assert "RPL000" in capsys.readouterr().out
 
+    def test_unparseable_package_module_reported_once(self, tmp_path, capsys):
+        # Both rule sets cover a package module; its parse failure is
+        # still one finding.
+        pkg = tmp_path / "src" / "repro" / "system"
+        pkg.mkdir(parents=True)
+        (pkg / "broken.py").write_text("def f(:\n", encoding="utf-8")
+        assert main([str(tmp_path / "src"), "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [f["rule"] for f in payload["findings"]] == ["RPS000"]
+
     def test_list_rules(self, capsys):
+        # One listing covers both catalogues.
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in RULES:
+        for rule in [*RPL_RULES, *RPS_RULES]:
             assert rule in out
 
-    def test_missing_path_is_usage_error(self, capsys):
-        assert main(["definitely/not/here"]) == 2
+    def test_missing_path_is_usage_error(self, tmp_path, capsys):
+        assert main([str(tmp_path / "nope")]) == 2
+        assert "no such path" in capsys.readouterr().err
+
+    def test_pragma_and_baseline_cover_rpl_rules(self, tmp_path, capsys):
+        pkg = tmp_path / "src" / "repro" / "system"
+        pkg.mkdir(parents=True)
+        hot = pkg / "multiprocessor.py"
+        code = 'def _run_fast(records):\n    return {"refs": len(records)}'
+        root = str(tmp_path / "src")
+
+        hot.write_text(code + "  # rps: ignore[RPL004]\n", encoding="utf-8")
+        assert main([root]) == 0
+        hot.write_text(code + "\n", encoding="utf-8")
+        assert main([root]) == 1
+        assert "RPL004" in capsys.readouterr().out
+
+        baseline = tmp_path / "baseline.json"
+        assert main([root, "--write-baseline", str(baseline)]) == 0
+        assert main([root, "--baseline", str(baseline)]) == 0
+
+        hot.write_text(
+            "def _run_fast(records):\n    return len(records)\n",
+            encoding="utf-8",
+        )
+        assert main([root, "--baseline", str(baseline)]) == 0
+        report = tmp_path / "report.json"
+        strict = [root, "--baseline", str(baseline), "--strict"]
+        assert main([*strict, "--json-out", str(report)]) == 1
+        payload = json.loads(report.read_text(encoding="utf-8"))
+        assert payload["ok"] is False and payload["findings"] == []
+        (entry,) = payload["stale_baseline_entries"]
+        assert entry.startswith("RPL004|repro/system/multiprocessor.py|")
 
     def test_finding_render_format(self):
         finding = Finding("RPL001", "a.py", 3, 7, "boom")

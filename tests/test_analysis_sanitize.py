@@ -1,8 +1,9 @@
-"""Tests for ``repro-sanitize`` and its runtime companions.
+"""Tests for the RPS rules of ``repro-lint`` and their runtime
+companions.
 
 Every rule gets a deliberately violating fixture and a conforming
 one; the repo itself must analyse clean (the same gate CI runs with
-``repro-sanitize --strict``).  The runtime half — DeterminismGuard
+``repro-lint --strict``).  The runtime half — DeterminismGuard
 and LoopStallWatchdog — is exercised against real patched sources
 and a really-blocked event loop.
 """
@@ -14,21 +15,19 @@ import time
 
 import pytest
 
+from repro.analysis.driver import analyze_paths, analyze_sources, main
+from repro.analysis.findings import (
+    apply_baseline,
+    fingerprint,
+    load_baseline,
+    write_baseline,
+)
 from repro.analysis.runtime import (
     DeterminismGuard,
     DeterminismViolation,
     LoopStallWatchdog,
 )
-from repro.analysis.sanitize import (
-    RULES,
-    analyze_paths,
-    analyze_sources,
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    main,
-    write_baseline,
-)
+from repro.analysis.sanitize import RULES
 from repro.obs import MetricsRegistry
 
 #: Synthetic in-package paths for fixtures.  ``serve/`` for the async
