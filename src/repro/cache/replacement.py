@@ -47,26 +47,39 @@ class ReplacementPolicy(ABC):
         """Replace the policy state with a snapshot's."""
 
 
-class LRUPolicy(ReplacementPolicy):
-    """Least-recently-used: the paper's default at both levels."""
+class _WayOrders(dict[int, list[int]]):
+    """Per-set way order (victim first), created on a set's first use.
+
+    An untouched set's order is ``range(associativity)``, exactly what
+    an eagerly built order would hold, so building it late changes no
+    victim choice.
+    """
+
+    __slots__ = ("_ways",)
+
+    def __init__(self, associativity: int) -> None:
+        super().__init__()
+        self._ways = range(associativity)
+
+    def __missing__(self, set_index: int) -> list[int]:
+        order = list(self._ways)
+        self[set_index] = order
+        return order
+
+
+class _OrderPolicy(ReplacementPolicy):
+    """A policy that keeps one way order per set and evicts its head."""
 
     __slots__ = ("_order",)
 
     def __init__(self, n_sets: int, associativity: int) -> None:
         super().__init__(n_sets, associativity)
-        # Per set, ways ordered LRU-first.
-        self._order = [list(range(associativity)) for _ in range(n_sets)]
+        self._order = _WayOrders(associativity)
 
     def _touch(self, set_index: int, way: int) -> None:
         order = self._order[set_index]
         order.remove(way)
         order.append(way)
-
-    def on_access(self, set_index: int, way: int) -> None:
-        self._touch(set_index, way)
-
-    def on_install(self, set_index: int, way: int) -> None:
-        self._touch(set_index, way)
 
     def choose(self, set_index: int, candidates: Sequence[int]) -> int:
         allowed = frozenset(candidates)
@@ -76,45 +89,47 @@ class LRUPolicy(ReplacementPolicy):
         raise ConfigurationError("victim requested with no candidate ways")
 
     def recency_order(self, set_index: int) -> list[int]:
-        """Ways LRU-first, exposed for tests."""
+        """Ways victim-first (LRU-first under LRU), exposed for tests."""
         return list(self._order[set_index])
 
     def export_state(self) -> object:
-        return [list(order) for order in self._order]
+        # One order per set, untouched sets included (sharing one
+        # power-on list), so the snapshot is the same whichever sets
+        # happen to have been used.
+        orders = self._order
+        default = list(range(self.associativity))
+        return [
+            list(orders[s]) if s in orders else default for s in range(self.n_sets)
+        ]
 
     def restore_state(self, state: object) -> None:
-        self._order = [list(order) for order in state]  # type: ignore[union-attr]
+        default = list(range(self.associativity))
+        self._order = _WayOrders(self.associativity)
+        for set_index, order in enumerate(state):  # type: ignore[arg-type]
+            if order != default:
+                self._order[set_index] = list(order)
 
 
-class FIFOPolicy(ReplacementPolicy):
+class LRUPolicy(_OrderPolicy):
+    """Least-recently-used: the paper's default at both levels."""
+
+    __slots__ = ()
+
+    # Hits and fills both move the way to the MRU end; binding the
+    # shared helper directly saves a call frame per access.
+    on_access = on_install = _OrderPolicy._touch
+
+
+class FIFOPolicy(_OrderPolicy):
     """First-in-first-out: order set at install time only."""
 
-    __slots__ = ("_order",)
-
-    def __init__(self, n_sets: int, associativity: int) -> None:
-        super().__init__(n_sets, associativity)
-        self._order = [list(range(associativity)) for _ in range(n_sets)]
+    __slots__ = ()
 
     def on_access(self, set_index: int, way: int) -> None:
         pass
 
     def on_install(self, set_index: int, way: int) -> None:
-        order = self._order[set_index]
-        order.remove(way)
-        order.append(way)
-
-    def choose(self, set_index: int, candidates: Sequence[int]) -> int:
-        allowed = frozenset(candidates)
-        for way in self._order[set_index]:
-            if way in allowed:
-                return way
-        raise ConfigurationError("victim requested with no candidate ways")
-
-    def export_state(self) -> object:
-        return [list(order) for order in self._order]
-
-    def restore_state(self, state: object) -> None:
-        self._order = [list(order) for order in state]  # type: ignore[union-attr]
+        self._touch(set_index, way)
 
 
 class RandomPolicy(ReplacementPolicy):

@@ -19,11 +19,39 @@ from .replacement import ReplacementPolicy, make_policy
 BlockFactory = Callable[[int, int], CacheBlock]
 
 
+class _Sets(dict[int, list[CacheBlock]]):
+    """Set index -> the set's blocks (every way), built on first lookup.
+
+    A set nothing has looked up holds only power-on blocks, so building
+    it late changes nothing a simulation can observe, and a run pays
+    only for the sets it touches.
+    """
+
+    __slots__ = ("_factory", "_indices", "_ways")
+
+    def __init__(
+        self, factory: BlockFactory, n_sets: int, associativity: int
+    ) -> None:
+        super().__init__()
+        self._factory = factory
+        self._indices = range(n_sets)
+        self._ways = range(associativity)
+
+    def __missing__(self, set_index: int) -> list[CacheBlock]:
+        if set_index not in self._indices:
+            raise IndexError(f"set index {set_index} out of range")
+        factory = self._factory
+        ways = [factory(set_index, w) for w in self._ways]
+        self[set_index] = ways
+        return ways
+
+
 class TagStore:
     """Tag array + replacement state for one cache.
 
     The *block_factory* lets a subsystem substitute a richer block
     class (the R-cache does); it must accept ``(set_index, way)``.
+    Sets are built on first use (see :meth:`live_sets`).
 
     >>> store = TagStore(CacheConfig.create("1K", block_size=16, associativity=2))
     >>> store.find(0x40) is None
@@ -59,10 +87,9 @@ class TagStore:
             ):
                 raise ConfigurationError("replacement policy geometry mismatch")
             self.policy = replacement
-        self._sets: list[list[CacheBlock]] = [
-            [block_factory(s, w) for w in range(config.associativity)]
-            for s in range(config.n_sets)
-        ]
+        self._sets: dict[int, list[CacheBlock]] = _Sets(
+            block_factory, config.n_sets, config.associativity
+        )
         # Hot-loop constants: address slicing runs on every access, so
         # the shifts/masks are cached here, and replacement bookkeeping
         # is skipped entirely for direct-mapped stores (every policy is
@@ -77,6 +104,12 @@ class TagStore:
     def ways(self, set_index: int) -> list[CacheBlock]:
         """The blocks of one set (all ways, present or not)."""
         return self._sets[set_index]
+
+    def live_sets(self) -> list[int]:
+        """Ascending indices of the sets that may hold non-power-on
+        blocks: every set built so far.  Whole-cache walks visit only
+        these; every other set is in its power-on state."""
+        return sorted(self._sets)
 
     def find(self, addr: int, include_swapped: bool = False) -> CacheBlock | None:
         """Tag-match *addr*; no replacement-state side effects.
@@ -150,8 +183,10 @@ class TagStore:
     # -- iteration / maintenance --------------------------------------------
 
     def __iter__(self) -> Iterator[CacheBlock]:
-        for ways in self._sets:
-            yield from ways
+        """Every block of every live set, in set then way order."""
+        sets = self._sets
+        for set_index in self.live_sets():
+            yield from sets[set_index]
 
     def present_blocks(self) -> Iterator[CacheBlock]:
         """Iterate blocks whose data is physically present."""

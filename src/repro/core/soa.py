@@ -43,7 +43,7 @@ import numpy as np
 
 from ..cache.block import CacheBlock
 from ..cache.config import CacheConfig
-from ..cache.tagstore import TagStore
+from ..cache.tagstore import BlockFactory, TagStore
 from ..cache.write_buffer import WriteBuffer, WriteBufferEntry
 from ..coherence.protocol import ShareState
 from ..common.errors import InclusionError, ProtocolError
@@ -474,6 +474,43 @@ class SoAWriteBufferEntry(WriteBufferEntry):
 # -- array-backed components ---------------------------------------------------
 
 
+class SoATagStore(TagStore):
+    """A tag store whose blocks are views over flat arrays.
+
+    :func:`run_soa`'s native miss handlers fill blocks by writing the
+    arrays directly, without building the set's views, so here a set
+    can hold data without having been built.  The live sets are the
+    built sets plus every set whose arrays differ from their power-on
+    values, found in one vectorized pass over *planes* — one
+    ``(buffer, dtype, power-on value)`` triple per array, each laid
+    out set-major.
+    """
+
+    __slots__ = ("_planes",)
+
+    def __init__(
+        self,
+        config: CacheConfig,
+        block_factory: BlockFactory,
+        replacement: str,
+        seed: int,
+        planes: tuple,
+    ) -> None:
+        super().__init__(
+            config, block_factory=block_factory, replacement=replacement, seed=seed
+        )
+        self._planes = planes
+
+    def live_sets(self) -> list[int]:
+        n_sets = self.config.n_sets
+        live = np.zeros(n_sets, dtype=bool)
+        for buffer, dtype, power_on in self._planes:
+            plane = np.frombuffer(buffer, dtype=dtype).reshape(n_sets, -1)
+            live |= (plane != power_on).any(axis=1)
+        live[np.fromiter(self._sets, dtype=np.intp, count=len(self._sets))] = True
+        return np.flatnonzero(live).tolist()
+
+
 class SoAL1Cache(L1Cache):
     """A level-1 cache whose tag store is backed by flat arrays."""
 
@@ -520,8 +557,19 @@ class SoAL1Cache(L1Cache):
                 s, w, tags, flags, versions, rp_s, rp_w, rp_b, log, s * assoc + w
             )
 
-        self.store = TagStore(
-            config, block_factory=factory, replacement=replacement, seed=seed
+        self.store = SoATagStore(
+            config,
+            factory,
+            replacement,
+            seed,
+            planes=(
+                (tags, np.int64, 0),
+                (flags, np.uint8, 0),
+                (versions, np.int64, 0),
+                (rp_s, np.int64, -1),
+                (rp_w, np.int64, 0),
+                (rp_b, np.int64, 0),
+            ),
         )
         self.access = self.store.access
 
@@ -578,8 +626,21 @@ class SoARCache(RCache):
             ]
             return SoARBlock(s, w, tags, flags, versions, g, subs)
 
-        self.store = TagStore(
-            config, block_factory=factory, replacement=replacement, seed=seed
+        self.store = SoATagStore(
+            config,
+            factory,
+            replacement,
+            seed,
+            planes=(
+                (tags, np.int64, 0),
+                (flags, np.uint8, 0),
+                (versions, np.int64, 0),
+                (sub_flags, np.uint8, 0),
+                (sub_versions, np.int64, 0),
+                (vp_ci, np.int64, -1),
+                (vp_set, np.int64, 0),
+                (vp_way, np.int64, 0),
+            ),
         )
         self.sub_block_size = config.block_size // n_subentries
         self._sub_bits = self.sub_block_size.bit_length() - 1
@@ -853,57 +914,20 @@ class SoAWriteBuffer(WriteBuffer):
 class SoAHierarchy(TwoLevelHierarchy):
     """A :class:`TwoLevelHierarchy` with array-backed components.
 
-    The constructor runs the parent's setup (bus attachment, stats,
-    hot-path aliases) and then swaps in the SoA TLB, level-1 caches,
-    R-cache and write buffer.  Because the replacements subclass the
-    originals and present identical interfaces, every scalar protocol
-    method — and the checker, checkpointer and model checker with
-    them — runs unchanged; only :func:`run_soa` exploits the arrays.
+    The parent's constructor builds the SoA TLB, level-1 caches,
+    R-cache and write buffer through the component types below.
+    Because they subclass the originals and present identical
+    interfaces, every scalar protocol method — and the checker,
+    checkpointer and model checker with them — runs unchanged; only
+    :func:`run_soa` exploits the arrays.
     """
 
     __slots__ = ()
 
-    def __init__(
-        self,
-        config: Any,
-        layout: Any,
-        bus: Any,
-        next_version: Any = None,
-        tlb_entries: int = 64,
-        tlb_associativity: int = 4,
-        drain_period: int = 4,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(
-            config,
-            layout,
-            bus,
-            next_version=next_version,
-            tlb_entries=tlb_entries,
-            tlb_associativity=tlb_associativity,
-            drain_period=drain_period,
-            seed=seed,
-        )
-        self.tlb = SoATLB(layout, tlb_entries, tlb_associativity)
-        if config.split_l1:
-            half = config.l1_half()
-            self._l1s = [
-                SoAL1Cache(half, 0, "L1-I", config.l1_replacement, seed),
-                SoAL1Cache(half, 1, "L1-D", config.l1_replacement, seed + 1),
-            ]
-        else:
-            self._l1s = [
-                SoAL1Cache(config.l1, 0, "L1", config.l1_replacement, seed)
-            ]
-        self.rcache = SoARCache(
-            config.l2,
-            config.subentries_per_l2_block,
-            config.l2_replacement,
-            seed + 2,
-        )
-        self.write_buffer = SoAWriteBuffer(config.write_buffer_capacity)
-        self._wb_entries = self.write_buffer._entries
-        self._split = len(self._l1s) == 2
+    tlb_type = SoATLB
+    l1_type = SoAL1Cache
+    rcache_type = SoARCache
+    write_buffer_type = SoAWriteBuffer
 
     def clear_change_logs(self) -> None:
         """Drop accumulated dirty/eviction logs.

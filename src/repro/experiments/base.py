@@ -104,8 +104,9 @@ class RunOptions:
         checkpoint_every: trace records replayed between checkpoints.
         cache_dir: root of the persistent result cache; None disables
             disk caching (the in-process memo still applies).
-        engine: replay core — "object" (the reference hierarchy) or
-            "soa" (the struct-of-arrays core, DESIGN §13).
+        engine: replay core — "soa" (the struct-of-arrays core,
+            DESIGN §13; the default) or "object" (the reference
+            hierarchy the equivalence checks compare it against).
         stream: replay synthetic traces through the bounded-chunk
             stream layer (DESIGN §14) instead of materialising them.
         trace_provenance: ``(format, version, digest)`` of an external
@@ -121,7 +122,7 @@ class RunOptions:
     checkpoint_dir: str | None = None
     checkpoint_every: int = 50_000
     cache_dir: str | None = None
-    engine: str = "object"
+    engine: str = "soa"
     stream: bool = False
     trace_provenance: tuple | None = None
 
@@ -423,9 +424,11 @@ def simulate(
     if options.check_every is not None:
         guard = InvariantGuard(options.guard_policy, options.check_every)
 
+    build_started = perf_counter()
     machine = Multiprocessor(
         layout, n_cpus, config, seed=seed, bus=bus, engine=options.engine
     )
+    build_s = perf_counter() - build_started
     if options.checkpoint_dir is not None:
         os.makedirs(options.checkpoint_dir, exist_ok=True)
         stem = "-".join(
@@ -448,6 +451,7 @@ def simulate(
     else:
         result = machine.run(records, injector=injector, guard=guard)
     result.timings["trace_gen_s"] = trace_gen_s
+    result.timings["build_s"] = build_s
     _executed_simulations += 1
     _sim_cache[cache_key] = result
     get_recorder().record(cache_key, result)

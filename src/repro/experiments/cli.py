@@ -122,10 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
     runner.add_argument(
         "--engine",
         choices=["object", "soa"],
-        default="object",
+        default="soa",
         help=(
-            "replay core: the reference object hierarchy or the "
-            "struct-of-arrays core (default: object)"
+            "replay core: the struct-of-arrays core or the reference "
+            "object hierarchy (default: soa)"
         ),
     )
     guard = parser.add_argument_group("robustness")

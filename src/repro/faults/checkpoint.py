@@ -106,22 +106,47 @@ def _restore_sub(sub: SubEntry, state: tuple) -> None:
     ) = state
 
 
-def _export_store(store: TagStore) -> dict:
-    blocks = []
-    for set_index in range(store.config.n_sets):
-        for block in store.ways(set_index):
-            entry: dict[str, Any] = {"block": _export_block(block)}
-            if isinstance(block, RCacheBlock):
-                entry["subentries"] = [_export_sub(s) for s in block.subentries]
-            blocks.append(entry)
+def _export_entry(block: CacheBlock) -> dict[str, Any]:
+    entry: dict[str, Any] = {"block": _export_block(block)}
+    if isinstance(block, RCacheBlock):
+        entry["subentries"] = [_export_sub(s) for s in block.subentries]
+    return entry
+
+
+def _export_store(store: TagStore, blank: CacheBlock) -> dict:
+    """One entry per set and way, in index order.
+
+    A set that is not live holds power-on blocks only, so each of its
+    ways gets the export of *blank* (a power-on block of the store's
+    kind), one shared entry object, and no set is built to export it.
+    """
+    n_sets = store.config.n_sets
+    power_on = [_export_entry(blank)] * store.config.associativity
+    blocks: list[dict[str, Any]] = []
+    next_set = 0
+    for set_index in store.live_sets():
+        blocks.extend(power_on * (set_index - next_set))
+        blocks.extend(_export_entry(block) for block in store.ways(set_index))
+        next_set = set_index + 1
+    blocks.extend(power_on * (n_sets - next_set))
     return {"blocks": blocks, "policy": store.policy.export_state()}
 
 
-def _restore_store(store: TagStore, state: dict) -> None:
-    flat = iter(state["blocks"])
+def _restore_store(store: TagStore, state: dict, blank: CacheBlock) -> None:
+    """Inverse of :func:`_export_store`.
+
+    A set that is not live and whose saved entries are all power-on is
+    already in its saved state, so it is skipped rather than built.
+    """
+    live = frozenset(store.live_sets())
+    assoc = store.config.associativity
+    power_on = [_export_entry(blank)] * assoc
+    entries = state["blocks"]
     for set_index in range(store.config.n_sets):
-        for block in store.ways(set_index):
-            entry = next(flat)
+        saved = entries[set_index * assoc : (set_index + 1) * assoc]
+        if set_index not in live and saved == power_on:
+            continue
+        for block, entry in zip(store.ways(set_index), saved):
             _restore_block(block, entry["block"])
             if isinstance(block, RCacheBlock):
                 for sub, sub_state in zip(block.subentries, entry["subentries"]):
@@ -140,8 +165,10 @@ def export_hierarchy(hier: TwoLevelHierarchy) -> dict:
         "writeback_intervals": hier.stats.writeback_intervals.export_state(),
         "tlb": hier.tlb.export_state(),
         "write_buffer": hier.write_buffer.export_state(),
-        "l1s": [_export_store(l1.store) for l1 in hier.l1_caches],
-        "l2": _export_store(hier.rcache.store),
+        "l1s": [_export_store(l1.store, CacheBlock(0, 0)) for l1 in hier.l1_caches],
+        "l2": _export_store(
+            hier.rcache.store, RCacheBlock(0, 0, hier.rcache.n_subentries)
+        ),
     }
 
 
@@ -164,8 +191,10 @@ def restore_hierarchy(hier: TwoLevelHierarchy, state: dict) -> None:
     hier.tlb.restore_state(state["tlb"])
     hier.write_buffer.restore_state(state["write_buffer"])
     for l1, l1_state in zip(hier.l1_caches, state["l1s"]):
-        _restore_store(l1.store, l1_state)
-    _restore_store(hier.rcache.store, state["l2"])
+        _restore_store(l1.store, l1_state, CacheBlock(0, 0))
+    _restore_store(
+        hier.rcache.store, state["l2"], RCacheBlock(0, 0, hier.rcache.n_subentries)
+    )
 
 
 def export_machine(

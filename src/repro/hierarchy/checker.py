@@ -200,7 +200,8 @@ def scan_buffer_bits(hier: TwoLevelHierarchy) -> list[Violation]:
     """Buffer bits and write-buffer entries must correspond one-to-one.
 
     Global rather than per-set: the write buffer holds a handful of
-    entries at most, so this is cheap enough for every guard check.
+    entries at most, and only live level-2 sets are walked, so this is
+    cheap enough for every guard check.
     """
     if hier.kind is HierarchyKind.RR_NO_INCLUSION:
         return []
@@ -281,12 +282,16 @@ def scan_tlb(hier: TwoLevelHierarchy) -> list[Violation]:
 
 
 def scan_hierarchy(hier: TwoLevelHierarchy) -> list[Violation]:
-    """Full sweep: every invariant of one hierarchy, as a list."""
+    """Full sweep: every invariant of one hierarchy, as a list.
+
+    Only live sets are visited (``TagStore.live_sets``): every other
+    set holds power-on blocks, which break no invariant.
+    """
     out: list[Violation] = []
-    for set_index in range(hier.rcache.config.n_sets):
+    for set_index in hier.rcache.store.live_sets():
         out.extend(scan_l2_set(hier, set_index))
     for l1 in hier.l1_caches:
-        for set_index in range(l1.config.n_sets):
+        for set_index in l1.store.live_sets():
             out.extend(scan_l1_set(hier, l1, set_index))
     out.extend(scan_buffer_bits(hier))
     out.extend(scan_single_copy(hier))
@@ -306,12 +311,13 @@ def check_pointer_consistency(hier: TwoLevelHierarchy) -> None:
     """Every inclusion bit and every level-1 block agree on linkage.
 
     Raises :class:`InclusionError` on the first violation.  Only
-    meaningful for inclusion-maintaining hierarchies.
+    meaningful for inclusion-maintaining hierarchies.  Like
+    :func:`scan_hierarchy`, visits live sets only.
     """
-    for set_index in range(hier.rcache.config.n_sets):
+    for set_index in hier.rcache.store.live_sets():
         _raise_first(scan_l2_set(hier, set_index))
     for l1 in hier.l1_caches:
-        for set_index in range(l1.config.n_sets):
+        for set_index in l1.store.live_sets():
             _raise_first(scan_l1_set(hier, l1, set_index))
 
 

@@ -100,6 +100,13 @@ class TwoLevelHierarchy:
         "_tr_coh",
     )
 
+    #: Component types.  The struct-of-arrays core (``repro.core.soa``)
+    #: substitutes array-backed subclasses with the same constructors.
+    tlb_type = TLB
+    l1_type = L1Cache
+    rcache_type = RCache
+    write_buffer_type = WriteBuffer
+
     def __init__(
         self,
         config: HierarchyConfig,
@@ -116,9 +123,9 @@ class TwoLevelHierarchy:
         self.layout = layout
         self.bus = bus
         self.cpu = bus.attach(self)
-        self.tlb = TLB(layout, tlb_entries, tlb_associativity)
+        self.tlb = self.tlb_type(layout, tlb_entries, tlb_associativity)
         self.stats = HierarchyStats()
-        self.write_buffer = WriteBuffer(config.write_buffer_capacity)
+        self.write_buffer = self.write_buffer_type(config.write_buffer_capacity)
         self.drain_period = drain_period
         self._inclusion = config.kind.inclusion
         self._virtual_l1 = config.kind.virtual_l1
@@ -133,16 +140,16 @@ class TwoLevelHierarchy:
             else itertools.count(1).__next__
         )
 
+        l1_type = self.l1_type
         if config.split_l1:
             half = config.l1_half()
             self._l1s = [
-                L1Cache(half, 0, "L1-I", config.l1_replacement, seed),
-                L1Cache(half, 1, "L1-D", config.l1_replacement, seed + 1),
+                l1_type(half, 0, "L1-I", config.l1_replacement, seed),
+                l1_type(half, 1, "L1-D", config.l1_replacement, seed + 1),
             ]
         else:
-            unified = L1Cache(config.l1, 0, "L1", config.l1_replacement, seed)
-            self._l1s = [unified]
-        self.rcache = RCache(
+            self._l1s = [l1_type(config.l1, 0, "L1", config.l1_replacement, seed)]
+        self.rcache = self.rcache_type(
             config.l2,
             config.subentries_per_l2_block,
             config.l2_replacement,

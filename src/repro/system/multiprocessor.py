@@ -52,8 +52,8 @@ class SimulationResult:
         bus_transactions: bus transaction counts by type.
         refs_processed: memory references simulated.
         timings: per-phase wall-clock seconds ("trace_gen_s",
-            "replay_s", "guard_s"); informational only — never part
-            of equality-relevant experiment data.
+            "build_s", "replay_s", "guard_s"); informational only —
+            never part of equality-relevant experiment data.
         tlb_per_cpu: one TLB counter snapshot per CPU, in CPU order
             (empty on results restored from pre-observability caches).
     """

@@ -134,6 +134,24 @@ class TestReplacementPolicies:
         lru.on_access(0, 0)
         assert lru.recency_order(0) == [1, 0]
 
+    @pytest.mark.parametrize("cls", [LRUPolicy, FIFOPolicy])
+    def test_untouched_set_order_is_way_order(self, cls):
+        policy = cls(8, 4)
+        policy.on_install(2, 0)
+        assert policy.recency_order(5) == [0, 1, 2, 3]
+        assert policy.choose(6, range(4)) == 0
+
+    @pytest.mark.parametrize("cls", [LRUPolicy, FIFOPolicy])
+    def test_order_snapshot_covers_untouched_sets(self, cls):
+        policy = cls(4, 2)
+        policy.on_install(1, 0)
+        state = policy.export_state()
+        assert state == [[0, 1], [1, 0], [0, 1], [0, 1]]
+        restored = cls(4, 2)
+        restored.on_install(3, 0)  # overwritten by the restore
+        restored.restore_state(state)
+        assert restored.export_state() == state
+
     def test_fifo_ignores_accesses(self):
         fifo = FIFOPolicy(1, 2)
         fifo.on_install(0, 0)
@@ -257,6 +275,47 @@ class TestTagStore:
         cfg = CacheConfig.create("1K", 16, associativity=2)
         with pytest.raises(ConfigurationError):
             TagStore(cfg, replacement=LRUPolicy(4, 4))
+
+
+class TestLazySets:
+    """Sets are built on first use; whole-cache walks see only those."""
+
+    @staticmethod
+    def _counting_store(assoc=4):
+        built = []
+
+        def factory(set_index, way):
+            built.append((set_index, way))
+            return CacheBlock(set_index, way)
+
+        cfg = CacheConfig.create("4K", 16, associativity=assoc)
+        return TagStore(cfg, block_factory=factory), built
+
+    def test_fresh_store_builds_and_iterates_nothing(self):
+        store, built = self._counting_store()
+        assert list(store) == []
+        assert store.live_sets() == []
+        assert store.swap_out_all() == 0
+        assert store.invalidate_all() == 0
+        assert built == []
+
+    def test_victim_builds_exactly_one_set(self):
+        store, built = self._counting_store(assoc=4)
+        set_index = store.config.set_index(0x1230)
+        block = store.victim(0x1230)
+        assert built == [(set_index, way) for way in range(4)]
+        assert store.live_sets() == [set_index]
+        assert list(store) == store.ways(set_index)
+        assert block is store.ways(set_index)[0]
+        assert len(built) == 4  # ways() reuses the built set
+
+    def test_walks_visit_live_sets_in_index_order(self):
+        store, _ = self._counting_store(assoc=1)
+        for addr in (0x300, 0x100, 0x200):
+            block = store.victim(addr)
+            block.fill(store.config.tag(addr), 0, 0)
+        assert [b.set_index for b in store.present_blocks()] == [16, 32, 48]
+        assert store.live_sets() == [16, 32, 48]
 
 
 class TestWriteBuffer:

@@ -15,9 +15,13 @@ from repro.hierarchy.checker import (
     check_coherence,
     check_pointer_consistency,
     check_single_copy,
+    scan_hierarchy,
     scan_l2_set,
 )
 from repro.cache.write_buffer import WriteBufferEntry
+from repro.faults.checkpoint import export_machine
+from repro.hierarchy.config import HierarchyConfig
+from repro.system.multiprocessor import Multiprocessor
 from repro.trace.record import RefKind
 from tests.conftest import build_hierarchy
 
@@ -82,6 +86,23 @@ class TestPointerChecker:
         sub.valid = False
         with pytest.raises(InclusionError):
             check_pointer_consistency(healthy)
+
+
+class TestLiveSetSweeps:
+    @pytest.mark.parametrize("engine", ["object", "soa"])
+    def test_full_sweeps_of_a_fresh_machine_build_no_set(self, layout, engine):
+        machine = Multiprocessor(
+            layout, 2, HierarchyConfig.sized("16K", "256K"), engine=engine
+        )
+        for hier in machine.hierarchies:
+            assert scan_hierarchy(hier) == []
+            check_all(hier)
+        check_coherence(machine.hierarchies)
+        export_machine(machine, 0, 0)
+        for hier in machine.hierarchies:
+            for store in [hier.rcache.store] + [l1.store for l1 in hier.l1_caches]:
+                assert store.live_sets() == []
+                assert list(store) == []
 
 
 class TestBufferChecker:

@@ -31,12 +31,14 @@ from repro.experiments.base import (
     clear_caches,
     set_run_options,
     simulate,
+    trace_records,
 )
 from repro.experiments.cli import build_parser
 from repro.faults.checkpoint import export_machine, restore_machine
 from repro.hierarchy.config import HierarchyConfig, HierarchyKind
 from repro.system.multiprocessor import Multiprocessor
 from repro.trace.synthetic import SyntheticWorkload, WorkloadSpec
+from repro.trace.workloads import get_spec
 
 
 def _machine(layout, n_cpus, config, engine):
@@ -72,9 +74,9 @@ class TestEngineSelection:
         assert all(isinstance(h, SoAHierarchy) for h in machine.hierarchies)
 
     def test_cli_parses_engine_flag(self):
-        args = build_parser().parse_args(["table6", "--engine", "soa"])
-        assert args.engine == "soa"
-        assert build_parser().parse_args(["table6"]).engine == "object"
+        args = build_parser().parse_args(["table6", "--engine", "object"])
+        assert args.engine == "object"
+        assert build_parser().parse_args(["table6"]).engine == "soa"
 
     def test_run_options_key_separates_engines(self):
         assert (
@@ -169,6 +171,46 @@ class TestCheckpointRoundTrip:
 
         refs = len([r for r in records if r.is_memory])
         assert _digest(reference, refs) == _digest(resumed, refs)
+
+
+class TestCheckpointFormat:
+    """Exports of fixed machines, pinned to the digests the eager tag
+    stores produced.  Lazy sets must not change a checkpoint: a set
+    that was never built exports power-on entries, in index order, on
+    either engine, and restoring an export reproduces it."""
+
+    FRESH = "4e57d74ae10aae471b3922811d674e65878d9e2e7ba6773db7b40fc2f34bfddb"
+    AFTER_20K = {
+        HierarchyKind.VR: (
+            "1a1d52ed423ea3d53b327e80f024d0152e3ad20359b450a3cbb74be931b53774"
+        ),
+        HierarchyKind.RR_NO_INCLUSION: (
+            "2ffe64c7d0544f56cdcea1500f32609074d9e8643a111a3c3c1a6278b4446b8d"
+        ),
+    }
+
+    @pytest.mark.parametrize("engine", ["object", "soa"])
+    @pytest.mark.parametrize("kind", sorted(AFTER_20K, key=lambda k: k.value))
+    def test_export_digests_pinned(self, engine, kind):
+        records, layout = trace_records("thor", 0.02)
+        n_cpus = get_spec("thor", 0.02).n_cpus
+        config = HierarchyConfig.sized("4K", "64K", kind=kind)
+        machine = _machine(layout, n_cpus, config, engine)
+        assert _digest(machine, 0) == self.FRESH
+        refs = machine.run(records[:20_000]).refs_processed
+        state = export_machine(machine, 20_000, refs)
+        assert canonical_digest(state) == self.AFTER_20K[kind]
+
+        other = "object" if engine == "soa" else "soa"
+        restored = _machine(layout, n_cpus, config, other)
+        restore_machine(restored, state)
+        assert canonical_digest(export_machine(restored, 20_000, refs)) == (
+            self.AFTER_20K[kind]
+        )
+        for hier, source in zip(restored.hierarchies, machine.hierarchies):
+            live = set(hier.rcache.store.live_sets())
+            assert live <= set(source.rcache.store.live_sets())
+            assert len(live) < hier.rcache.config.n_sets
 
 
 class TestModelChecker:

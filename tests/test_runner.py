@@ -285,3 +285,4 @@ class TestTraceCache:
         result = simulate("pops", SCALE, "4K", "64K", HierarchyKind.VR)
         assert result.timings["replay_s"] > 0
         assert "trace_gen_s" in result.timings
+        assert result.timings["build_s"] >= 0
