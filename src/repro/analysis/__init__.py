@@ -16,15 +16,14 @@ Its console entry points:
   allocation in hot loops) and the whole-package RPS rules
   (:mod:`repro.analysis.sanitize`: determinism taint from
   nondeterminism sources into cache keys, journal records and
-  simulation state, and asyncio hazards in the serve layer).  One set
-  of ``# rps: ignore[...]`` pragmas and one fingerprint baseline
-  (:mod:`repro.analysis.findings`) cover both.
+  simulation state).  One set of ``# rps: ignore[...]`` pragmas and
+  one fingerprint baseline (:mod:`repro.analysis.findings`) cover
+  both.
 * ``repro-diff`` (:mod:`repro.analysis.differential`) — the
   object-vs-SoA engine differential harness.
 
-The runtime companions of the RPS rules —
-:class:`~repro.analysis.runtime.DeterminismGuard` and
-:class:`~repro.analysis.runtime.LoopStallWatchdog` — live in
-:mod:`repro.analysis.runtime` and back the ``--sanitize`` flags on
-``repro-experiment`` and ``repro-serve``.
+The runtime companion of the RPS rules,
+:class:`~repro.analysis.runtime.DeterminismGuard`, lives in
+:mod:`repro.analysis.runtime` and backs ``repro-experiment
+--sanitize``.
 """

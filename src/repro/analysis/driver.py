@@ -85,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "Repo-specific static analysis: per-file AST rules "
-            "(RPL001-RPL005) and whole-package determinism-taint and "
-            "async-hazard rules (RPS101-RPS105, RPS201-RPS204)."
+            "(RPL001-RPL005) and whole-package determinism-taint "
+            "rules (RPS101-RPS105)."
         ),
     )
     parser.add_argument(

@@ -123,7 +123,6 @@ def known_metric_names() -> frozenset[str]:
         HIERARCHY_METRIC_NAMES,
         RUNNER_METRIC_NAMES,
         SANITIZE_METRIC_NAMES,
-        SERVE_METRIC_NAMES,
         TLB_METRIC_NAMES,
     )
 
@@ -132,7 +131,6 @@ def known_metric_names() -> frozenset[str]:
         | frozenset(TLB_METRIC_NAMES.values())
         | frozenset(COHERENCE_TO_L1_METRICS)
         | frozenset(RUNNER_METRIC_NAMES)
-        | frozenset(SERVE_METRIC_NAMES)
         | frozenset(SANITIZE_METRIC_NAMES)
         | frozenset({"sim.refs", "wb.interval"})
     )

@@ -1,5 +1,5 @@
 """The RPS rules of ``repro-lint``: whole-package determinism-taint
-and async-hazard analysis.
+analysis.
 
 The repo's headline guarantee — bit-identical results across
 ``--jobs`` settings, engines, checkpoint resume and cache replay —
@@ -7,73 +7,50 @@ is only as strong as the code that computes keys, evolves simulation
 state and writes journals.  The RPL rules (:mod:`repro.analysis.lint`)
 check single-node AST patterns file by file; this module checks
 *dataflow*: it builds a module-level call graph over the ``repro``
-package and tracks how nondeterminism sources and blocking calls flow
-through it.
+package and tracks how nondeterminism sources flow through it.
 
-Two rule families:
+The rules (RPS1xx):
 
-**Determinism taint** (RPS1xx)
-    * **RPS101** — directory listings (``iterdir``/``glob``/``rglob``/
-      ``scandir``/``os.listdir``/``os.walk``) must be wrapped in
-      ``sorted()`` or consumed by an order-insensitive reducer
-      (``sum``/``len``/``set``/``min``/``max``/``any``/``all``).
-      Filesystem order is arbitrary; iterating it unsorted makes
-      replay output, sweep order and digests depend on the inode
-      layout of the machine that ran the job.
-    * **RPS102** — wall-clock reads (``time.time``/``monotonic``/
-      ``perf_counter``/``datetime.now`` …) must not *reach a
-      determinism-critical sink* through the call graph.  Sinks are
-      the functions that define result identity and payloads:
-      simulation state evolution, result-cache key computation,
-      journal records and metrics snapshots
-      (:data:`DETERMINISM_SINKS`).  The manifest/timing modules that
-      legitimately read clocks are allowlisted
-      (:data:`repro.analysis.runtime.CLOCK_ALLOWED`, shared with the
-      runtime guard) and act as propagation barriers.
-    * **RPS103** — unseeded randomness (module-level ``random.*``
-      functions, ``uuid.uuid1``/``uuid4``, ``os.urandom``,
-      ``secrets.*``) is forbidden anywhere in the package; every RNG
-      in this repo must be a seeded ``random.Random(seed)``.
-    * **RPS104** — iterating a set (display, comprehension,
-      ``set()``/``frozenset()`` call, or a local assigned from one)
-      leaks ``PYTHONHASHSEED``-dependent order; wrap the iterable in
-      ``sorted()``.
-    * **RPS105** — the builtin ``hash()`` is salted per process for
-      ``str``/``bytes``; anything content-keyed must use
-      :mod:`hashlib` instead.
-
-**Async hazards** (RPS2xx)
-    * **RPS201** — blocking calls (``open``, ``time.sleep``,
-      ``subprocess.*``, ``Path.read_text``/``write_text`` …, or any
-      repo function whose call-graph closure blocks — the disk
-      cache, the supervised pool) inside ``async def`` must be
-      wrapped in ``asyncio.to_thread``/``run_in_executor``; a direct
-      call stalls every task on the loop.
-    * **RPS202** — ``asyncio.create_task``/``ensure_future`` results
-      must be kept *and* observed (``add_done_callback`` or a later
-      ``await``); a dropped task dies silently and may be collected
-      mid-flight.
-    * **RPS203** — ``except TimeoutError`` in a coroutine without the
-      ``asyncio.TimeoutError`` alias misses ``wait_for`` expiry on
-      Python 3.10, where the two are still distinct types.
-    * **RPS204** — ``await`` inside a synchronous ``with`` on a
-      lock-like object parks the coroutine while the lock stays
-      held, blocking the loop's other tasks (and inviting deadlock).
+* **RPS101** — directory listings (``iterdir``/``glob``/``rglob``/
+  ``scandir``/``os.listdir``/``os.walk``) must be wrapped in
+  ``sorted()`` or consumed by an order-insensitive reducer
+  (``sum``/``len``/``set``/``min``/``max``/``any``/``all``).
+  Filesystem order is arbitrary; iterating it unsorted makes replay
+  output, sweep order and digests depend on the inode layout of the
+  machine that ran the job.
+* **RPS102** — wall-clock reads (``time.time``/``monotonic``/
+  ``perf_counter``/``datetime.now`` …) must not *reach a
+  determinism-critical sink* through the call graph.  Sinks are the
+  functions that define result identity and payloads: simulation
+  state evolution, result-cache key computation, journal records and
+  metrics snapshots (:data:`DETERMINISM_SINKS`).  The manifest/timing
+  modules that legitimately read clocks are allowlisted
+  (:data:`repro.analysis.runtime.CLOCK_ALLOWED`, shared with the
+  runtime guard) and act as propagation barriers.
+* **RPS103** — unseeded randomness (module-level ``random.*``
+  functions, ``uuid.uuid1``/``uuid4``, ``os.urandom``,
+  ``secrets.*``) is forbidden anywhere in the package; every RNG in
+  this repo must be a seeded ``random.Random(seed)``.
+* **RPS104** — iterating a set (display, comprehension,
+  ``set()``/``frozenset()`` call, or a local assigned from one) leaks
+  ``PYTHONHASHSEED``-dependent order; wrap the iterable in
+  ``sorted()``.
+* **RPS105** — the builtin ``hash()`` is salted per process for
+  ``str``/``bytes``; anything content-keyed must use :mod:`hashlib`
+  instead.
 
 The driver (:mod:`repro.analysis.driver`) parses the files and calls
 :func:`check_package`; its ``# rps: ignore[...]`` pragmas and
 fingerprint baseline cover these rules and the RPL rules alike.
 
-The runtime companions (:mod:`repro.analysis.runtime`) cover what
-static analysis cannot: an event-loop stall watchdog for the serving
-layer and a :class:`~repro.analysis.runtime.DeterminismGuard` that
-patches the nondeterminism sources to raise during tier-1 runs.
+The runtime companion, :class:`~repro.analysis.runtime.DeterminismGuard`
+(:mod:`repro.analysis.runtime`), covers what static analysis cannot:
+it patches the nondeterminism sources to raise during tier-1 runs.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -90,10 +67,6 @@ RULES: dict[str, str] = {
     "RPS103": "unseeded randomness is forbidden in package code",
     "RPS104": "set iteration order must not escape; wrap in sorted()",
     "RPS105": "builtin hash() is PYTHONHASHSEED-salted; use hashlib",
-    "RPS201": "blocking call inside async def; wrap in asyncio.to_thread",
-    "RPS202": "create_task result dropped or never observed",
-    "RPS203": "except TimeoutError needs the asyncio.TimeoutError alias",
-    "RPS204": "await while holding a synchronous lock",
 }
 
 # ---------------------------------------------------------------- catalogues
@@ -149,35 +122,6 @@ ORDER_ACCEPTORS = frozenset(
     {"sorted", "set", "frozenset", "len", "sum", "min", "max", "any", "all"}
 )
 
-#: Blocking calls that must not run on the event loop (RPS201).
-BLOCKING_EXT = frozenset(
-    {
-        "open",
-        "input",
-        "time.sleep",
-        "subprocess.run",
-        "subprocess.call",
-        "subprocess.check_call",
-        "subprocess.check_output",
-        "subprocess.Popen",
-        "os.system",
-        "shutil.rmtree",
-        "shutil.copyfile",
-        "socket.create_connection",
-        "urllib.request.urlopen",
-    }
-)
-
-#: Blocking method names on arbitrary receivers (``Path`` I/O mostly).
-BLOCKING_ATTRS = frozenset(
-    {
-        "read_text",
-        "write_text",
-        "read_bytes",
-        "write_bytes",
-    }
-)
-
 #: Determinism-critical sinks (RPS102): module key -> qualnames whose
 #: call-graph closure must be wall-clock-free.  These functions define
 #: what a result *is*: the simulation state machine, the cache keys
@@ -224,7 +168,6 @@ class FunctionInfo:
     module: "ModuleInfo"
     qualname: str
     node: ast.FunctionDef | ast.AsyncFunctionDef
-    is_async: bool
     #: Resolved call sites: ``("int", "repro/x.py::f", line, col)``,
     #: ``("ext", "time.time", line, col)`` or ``("attr", name, ...)``.
     calls: list[tuple[str, str, int, int]] = field(default_factory=list)
@@ -283,12 +226,7 @@ def _collect_functions(module: ModuleInfo) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{class_name}.{child.name}" if class_name else child.name
-                module.functions[qual] = FunctionInfo(
-                    module,
-                    qual,
-                    child,
-                    isinstance(child, ast.AsyncFunctionDef),
-                )
+                module.functions[qual] = FunctionInfo(module, qual, child)
                 if class_name:
                     module.classes.setdefault(class_name, set()).add(child.name)
             elif isinstance(child, ast.ClassDef) and class_name is None:
@@ -406,7 +344,7 @@ def _collect_calls(repo: Repo, module: ModuleInfo) -> None:
 
     Nested defs (closures) are not in the one-level symbol table;
     their bodies are analysed under the enclosing function, so a
-    closure's blocking or clock calls still count against the
+    closure's clock calls still count against the
     function that owns (and presumably invokes) it.
     """
 
@@ -478,249 +416,6 @@ def _taint_dfs(
             if callee is None or ident.partition("::")[0] in CLOCK_ALLOWED:
                 continue
             yield from _taint_dfs(repo, callee, chain + (ident,), visited)
-
-
-# ------------------------------------------------------------ async hazards
-
-
-def _blocking_closure(repo: Repo, func: FunctionInfo, visited: set[str]) -> bool:
-    """Does calling this *sync* function (transitively) block?"""
-    if func.ref in visited:
-        return False
-    visited.add(func.ref)
-    for kind, ident, _line, _col in func.calls:
-        if kind == "ext" and ident in BLOCKING_EXT:
-            return True
-        if kind == "attr" and ident in BLOCKING_ATTRS:
-            return True
-        if kind == "int":
-            callee = repo.function(ident)
-            if callee is not None and not callee.is_async and _blocking_closure(
-                repo, callee, visited
-            ):
-                return True
-    return False
-
-
-def _async_blocking_findings(repo: Repo) -> Iterator[Finding]:
-    """RPS201: blocking call sites inside ``async def`` bodies."""
-    for module in repo.modules.values():
-        for func in module.functions.values():
-            if not func.is_async:
-                continue
-            for kind, ident, line, col in func.calls:
-                if kind == "ext" and ident in BLOCKING_EXT:
-                    yield Finding(
-                        "RPS201",
-                        module.path,
-                        line,
-                        col,
-                        f'blocking call "{ident}" inside async '
-                        f'"{func.qualname}" — wrap it in '
-                        "asyncio.to_thread(...)",
-                    )
-                elif kind == "attr" and ident in BLOCKING_ATTRS:
-                    yield Finding(
-                        "RPS201",
-                        module.path,
-                        line,
-                        col,
-                        f'blocking I/O method ".{ident}(...)" inside async '
-                        f'"{func.qualname}" — wrap it in '
-                        "asyncio.to_thread(...)",
-                    )
-                elif kind == "int":
-                    callee = repo.function(ident)
-                    if (
-                        callee is not None
-                        and not callee.is_async
-                        and _blocking_closure(repo, callee, set())
-                    ):
-                        yield Finding(
-                            "RPS201",
-                            module.path,
-                            line,
-                            col,
-                            f'"{callee.qualname}" does blocking I/O in its '
-                            f'call-graph closure; called from async '
-                            f'"{func.qualname}" — wrap it in '
-                            "asyncio.to_thread(...)",
-                            chain=(callee.ref,),
-                        )
-
-
-def _is_task_spawn(node: ast.Call, module: ModuleInfo) -> bool:
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr in ("create_task", "ensure_future")
-    if isinstance(func, ast.Name):
-        dotted = module.imports.get(func.id, "")
-        return dotted.endswith((".create_task", ".ensure_future"))
-    return False
-
-
-def _observes_task(scope: ast.AST, target: ast.expr) -> bool:
-    """Is the assigned task ever awaited or given a done-callback
-    inside *scope*?  *target* is the ``Name`` or ``self.attr`` the
-    task was bound to."""
-    if isinstance(target, ast.Name):
-        wanted: tuple[str, ...] = (target.id,)
-    elif isinstance(target, ast.Attribute) and isinstance(
-        target.value, ast.Name
-    ):
-        wanted = (target.value.id, target.attr)
-    else:
-        return True  # an exotic binding; give it the benefit of the doubt
-
-    def matches(expr: ast.expr) -> bool:
-        if len(wanted) == 1:
-            return isinstance(expr, ast.Name) and expr.id == wanted[0]
-        return (
-            isinstance(expr, ast.Attribute)
-            and expr.attr == wanted[1]
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id == wanted[0]
-        )
-
-    for node in ast.walk(scope):
-        if isinstance(node, ast.Await) and matches(node.value):
-            return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "add_done_callback"
-                and matches(func.value)
-            ):
-                return True
-            # await asyncio.gather(..., task, ...) / wait([task])
-            for arg in node.args:
-                if matches(arg):
-                    return True
-    return False
-
-
-def _task_findings(module: ModuleInfo) -> Iterator[Finding]:
-    """RPS202: dropped or unobserved ``create_task`` results."""
-
-    class_nodes = {
-        node.name: node
-        for node in module.tree.body
-        if isinstance(node, ast.ClassDef)
-    }
-    for qual, func in module.functions.items():
-        for stmt in ast.walk(func.node):
-            if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-                if _is_task_spawn(stmt.value, module):
-                    yield Finding(
-                        "RPS202",
-                        module.path,
-                        stmt.lineno,
-                        stmt.col_offset,
-                        "create_task result dropped — the task can be "
-                        "garbage-collected mid-flight and its exception "
-                        "is lost; keep a reference and add a done-callback",
-                    )
-            elif isinstance(stmt, ast.Assign) and isinstance(
-                stmt.value, ast.Call
-            ):
-                if not _is_task_spawn(stmt.value, module):
-                    continue
-                target = stmt.targets[0]
-                scope: ast.AST = func.node
-                if isinstance(target, ast.Attribute):
-                    class_name = qual.partition(".")[0]
-                    scope = class_nodes.get(class_name, func.node)
-                if not _observes_task(scope, target):
-                    yield Finding(
-                        "RPS202",
-                        module.path,
-                        stmt.lineno,
-                        stmt.col_offset,
-                        "create_task result is never awaited and has no "
-                        "done-callback — failures in the task vanish "
-                        "silently",
-                    )
-
-
-def _timeout_findings(module: ModuleInfo) -> Iterator[Finding]:
-    """RPS203: ``except TimeoutError`` near ``await`` without the
-    ``asyncio.TimeoutError`` 3.10 alias."""
-    for func in module.functions.values():
-        has_await = any(
-            isinstance(node, ast.Await) for node in ast.walk(func.node)
-        )
-        if not has_await:
-            continue
-        for node in ast.walk(func.node):
-            if not isinstance(node, ast.ExceptHandler) or node.type is None:
-                continue
-            names: list[str] = []
-            has_builtin = False
-            has_alias = False
-            exprs = (
-                node.type.elts
-                if isinstance(node.type, ast.Tuple)
-                else [node.type]
-            )
-            for expr in exprs:
-                chain = _attr_chain(expr)
-                if chain is None:
-                    continue
-                names.append(".".join(chain))
-                if chain == ["TimeoutError"]:
-                    has_builtin = True
-                if chain[-1] == "TimeoutError" and len(chain) > 1:
-                    has_alias = True
-            if has_builtin and not has_alias:
-                yield Finding(
-                    "RPS203",
-                    module.path,
-                    node.lineno,
-                    node.col_offset,
-                    "except TimeoutError in a coroutine misses "
-                    "asyncio.TimeoutError on Python 3.10 — catch "
-                    "(TimeoutError, asyncio.TimeoutError)",
-                )
-
-
-_LOCKISH_RE = re.compile(r"lock|mutex|sem", re.IGNORECASE)
-
-
-def _lock_findings(module: ModuleInfo) -> Iterator[Finding]:
-    """RPS204: ``await`` inside a synchronous ``with <lock>``."""
-    for func in module.functions.values():
-        if not func.is_async:
-            continue
-        for node in ast.walk(func.node):
-            if not isinstance(node, ast.With):
-                continue
-            lockish = False
-            for item in node.items:
-                for part in ast.walk(item.context_expr):
-                    if isinstance(part, ast.Name) and _LOCKISH_RE.search(
-                        part.id
-                    ):
-                        lockish = True
-                    elif isinstance(part, ast.Attribute) and _LOCKISH_RE.search(
-                        part.attr
-                    ):
-                        lockish = True
-            if not lockish:
-                continue
-            for inner in node.body:
-                for sub in ast.walk(inner):
-                    if isinstance(sub, ast.Await):
-                        yield Finding(
-                            "RPS204",
-                            module.path,
-                            sub.lineno,
-                            sub.col_offset,
-                            "await while holding a synchronous lock "
-                            "blocks every other task on the loop — use "
-                            "asyncio.Lock, or release before awaiting",
-                        )
-                        break
 
 
 # --------------------------------------------------------- syntactic rules
@@ -896,13 +591,10 @@ def build_repo(trees: Mapping[str, ast.Module]) -> Repo:
 def check_package(trees: Mapping[str, ast.Module]) -> list[Finding]:
     """Every RPS finding in the package modules among *trees*."""
     repo = build_repo(trees)
-    findings = [*_wall_clock_findings(repo), *_async_blocking_findings(repo)]
+    findings = list(_wall_clock_findings(repo))
     for module in repo.modules.values():
         findings.extend(_fs_order_findings(repo, module))
         findings.extend(_random_findings(repo, module))
         findings.extend(_set_iteration_findings(module))
         findings.extend(_hash_findings(module))
-        findings.extend(_task_findings(module))
-        findings.extend(_timeout_findings(module))
-        findings.extend(_lock_findings(module))
     return findings

@@ -116,11 +116,12 @@ class TagStore:
 
         With *include_swapped* the search also matches blocks whose
         data is physically present but invalidated by a context switch
-        (swapped-valid).
+        (swapped-valid).  A set never built holds only power-on
+        blocks, so a lookup there misses without building it.
         """
         block_number = addr >> self._block_bits
         tag = block_number >> self._set_bits
-        for block in self._sets[block_number & self._set_mask]:
+        for block in self._sets.get(block_number & self._set_mask, ()):
             if block.tag == tag and (
                 block.valid or (include_swapped and block.swapped_valid)
             ):

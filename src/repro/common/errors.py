@@ -135,12 +135,3 @@ class ChaosError(ReproError):
 
 class TraceFormatError(ReproError):
     """A trace file could not be parsed."""
-
-
-class RequestError(ReproError):
-    """A simulation-service request is malformed or out of bounds.
-
-    Raised by the ``repro.serve`` protocol layer while validating a
-    client payload — unknown trace, bad geometry, out-of-range scale —
-    and mapped to an HTTP 400, never to a server-side failure.
-    """

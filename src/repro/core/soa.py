@@ -501,6 +501,18 @@ class SoATagStore(TagStore):
         )
         self._planes = planes
 
+    def find(self, addr: int, include_swapped: bool = False) -> CacheBlock | None:
+        # Unlike the object store, an unbuilt set may hold data the
+        # native handlers wrote, so the lookup builds the set's views.
+        block_number = addr >> self._block_bits
+        tag = block_number >> self._set_bits
+        for block in self._sets[block_number & self._set_mask]:
+            if block.tag == tag and (
+                block.valid or (include_swapped and block.swapped_valid)
+            ):
+                return block
+        return None
+
     def live_sets(self) -> list[int]:
         n_sets = self.config.n_sets
         live = np.zeros(n_sets, dtype=bool)

@@ -309,19 +309,6 @@ def seed_memo(key: tuple, result: SimulationResult) -> None:
     get_recorder().record(cache_key, result)
 
 
-def forget_memo(key: tuple) -> None:
-    """Drop *key*'s memoised result and its recorder entry (if any).
-
-    The serving layer evicts each result once its response is
-    delivered: the disk cache still answers repeats, while the
-    in-process memo and recorder stay bounded over a process that
-    serves requests indefinitely.
-    """
-    cache_key = key + (_run_options,)
-    _sim_cache.pop(cache_key, None)
-    get_recorder().forget(cache_key)
-
-
 def simulate(
     trace_name: str,
     scale: float,

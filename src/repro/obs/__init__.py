@@ -22,7 +22,6 @@ from .metrics import (
     HIERARCHY_METRIC_NAMES,
     RUNNER_METRIC_NAMES,
     SANITIZE_METRIC_NAMES,
-    SERVE_METRIC_NAMES,
     TLB_METRIC_NAMES,
     CounterMetric,
     HistogramMetric,
@@ -67,7 +66,6 @@ __all__ = [
     "LEVELS",
     "RUNNER_METRIC_NAMES",
     "SANITIZE_METRIC_NAMES",
-    "SERVE_METRIC_NAMES",
     "TLB_METRIC_NAMES",
     "CounterMetric",
     "EventTracer",

@@ -353,36 +353,10 @@ RUNNER_METRIC_NAMES: tuple[str, ...] = (
     "runner.pool_rebuild",
 )
 
-#: Request-lifecycle events the simulation service counts
-#: (``repro.serve``).  Like the runner metrics these never appear in a
-#: :class:`SimulationResult`; they describe how the service treated
-#: traffic: admitted into the scheduler, coalesced onto an in-flight
-#: duplicate, answered from the disk cache, shed at the admission
-#: queue or rate limiter, expired against a client deadline, rejected
-#: in degraded (breaker-open) mode, or completed/failed outright.
-SERVE_METRIC_NAMES: tuple[str, ...] = (
-    "serve.admitted",
-    "serve.coalesced",
-    "serve.cache_hit",
-    "serve.completed",
-    "serve.failed",
-    "serve.shed",
-    "serve.rate_limited",
-    "serve.deadline_exceeded",
-    "serve.degraded",
-    "serve.breaker_open",
-    "serve.breaker_recovered",
-    "serve.batcher_died",
-    "serve.drained",
-    "serve.loop_stall",
-)
-
 #: Events the runtime sanitizers count (``repro.analysis.runtime``).
 #: ``sanitize.determinism_violation`` only moves when a
 #: :class:`~repro.analysis.runtime.DeterminismGuard` in ``count`` mode
-#: observes a nondeterminism source being read from guarded code;
-#: ``serve.loop_stall`` (above, a serve metric) is its event-loop
-#: sibling from :class:`~repro.analysis.runtime.LoopStallWatchdog`.
+#: observes a nondeterminism source being read from guarded code.
 SANITIZE_METRIC_NAMES: tuple[str, ...] = (
     "sanitize.determinism_violation",
 )

@@ -45,14 +45,6 @@ class RunRecorder:
             merged.merge(registry_from_result(self._results[key]))
         return merged
 
-    def forget(self, key: Any) -> None:
-        """Drop one recorded result (no-op when absent).
-
-        The serving layer evicts delivered results so a long-lived
-        process does not accumulate every simulation it ever served.
-        """
-        self._results.pop(key, None)
-
     def clear(self) -> None:
         """Forget everything (used between CLI invocations)."""
         self._results.clear()

@@ -46,7 +46,6 @@ CATEGORIES: frozenset[str] = frozenset(
         "fault",  # injected metadata/bus faults
         "guard",  # invariant-guard detections, repairs, replays
         "runner",  # supervisor: retries, timeouts, quarantines, pool rebuilds
-        "serve",  # service: admission, coalescing, shedding, breaker moves
     }
 )
 

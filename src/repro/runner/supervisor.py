@@ -125,15 +125,6 @@ class SupervisorConfig:
         resume: skip jobs the journal marks quarantined/timed out.
         chaos: seeded worker misbehaviour, for tests and chaos smokes.
         poll_interval_s: watchdog tick.
-        job_deadline_s: per-job wall-clock budgets keyed by job digest,
-            overriding ``job_timeout_s`` for those jobs — the serving
-            layer injects client deadlines here so one slow request
-            cannot hold a worker past what its client will wait for.
-        on_outcome: called with ``(job digest, terminal outcome)`` the
-            moment a job finishes, is quarantined or times out — before
-            the rest of the batch completes.  The serving layer uses it
-            to resolve coalesced request futures promptly; it runs on
-            the supervisor's thread and must not block.
     """
 
     max_attempts: int = 3
@@ -149,24 +140,6 @@ class SupervisorConfig:
     resume: bool = False
     chaos: ChaosConfig | None = None
     poll_interval_s: float = 0.05
-    job_deadline_s: dict[str, float] | None = None
-    on_outcome: Callable[[str, str], None] | None = None
-
-    def deadline_for(self, digest: str) -> float | None:
-        """The wall-clock budget for job *digest*, or None (unbounded).
-
-        A per-job deadline wins over the run-wide ``job_timeout_s``.
-        """
-        if self.job_deadline_s is not None:
-            specific = self.job_deadline_s.get(digest)
-            if specific is not None:
-                return specific
-        return self.job_timeout_s
-
-    @property
-    def any_deadline(self) -> bool:
-        """True when at least one job runs under a wall-clock budget."""
-        return self.job_timeout_s is not None or bool(self.job_deadline_s)
 
     def backoff_delay(self, digest: str, failures: int) -> float:
         """Seconds to wait before retry number *failures* of *digest*.
@@ -484,8 +457,6 @@ class Supervisor:
         self._journal_entry(
             state, outcome, len(state.attempts) + 1, result.refs_processed
         )
-        if self.config.on_outcome is not None:
-            self.config.on_outcome(state.digest, outcome)
 
     def _quarantine(
         self, report: "RunReport", state: _JobState, reason: str
@@ -531,8 +502,6 @@ class Supervisor:
                 reason,
             )
         self._journal_entry(state, outcome, len(state.attempts))
-        if self.config.on_outcome is not None:
-            self.config.on_outcome(state.digest, outcome)
 
     def _fail(
         self,
@@ -670,7 +639,7 @@ class Supervisor:
                     if self._over_rebuild_budget(report, queue):
                         return
                     continue
-                if self.config.any_deadline and inflight:
+                if self.config.job_timeout_s is not None and inflight:
                     queue, inflight, pool = self._watchdog(
                         report, queue, inflight, pool
                     )
@@ -748,15 +717,13 @@ class Supervisor:
         dict[Future[tuple[SimJob, SimulationResult, int]], _JobState],
         ProcessPoolExecutor | None,
     ]:
-        """Kill the pool when any running job exceeds its deadline.
+        """Kill the pool when any running job exceeds ``job_timeout_s``.
 
-        Each job's budget comes from :meth:`SupervisorConfig.deadline_for`
-        — the run-wide ``job_timeout_s`` unless a per-job deadline was
-        injected (the serving layer propagates client deadlines this
-        way).  The expired job is charged a ``timeout`` attempt; other
+        The expired job is charged a ``timeout`` attempt; other
         in-flight jobs are requeued without penalty — unlike a pool
         break, the culprit is known here.
         """
+        limit = self.config.job_timeout_s
         now = perf_counter()
         expired: list[_JobState] = []
         survivors: list[_JobState] = []
@@ -764,7 +731,6 @@ class Supervisor:
             if state.started_at is None and future.running():
                 state.started_at = now
                 continue
-            limit = self.config.deadline_for(state.digest)
             if (
                 limit is not None
                 and state.started_at is not None
@@ -789,7 +755,7 @@ class Supervisor:
                     "timeout",
                     job=state.digest,
                     attempt=len(state.attempts) + 1,
-                    limit_s=self.config.deadline_for(state.digest),
+                    limit_s=limit,
                 )
             self._fail(report, state, "timeout", None, queue)
         return queue, inflight, None

@@ -1,14 +1,12 @@
 """Tests for the RPS rules of ``repro-lint`` and their runtime
-companions.
+companion.
 
 Every rule gets a deliberately violating fixture and a conforming
 one; the repo itself must analyse clean (the same gate CI runs with
-``repro-lint --strict``).  The runtime half — DeterminismGuard
-and LoopStallWatchdog — is exercised against real patched sources
-and a really-blocked event loop.
+``repro-lint --strict``).  The runtime half, DeterminismGuard, is
+exercised against real patched sources.
 """
 
-import asyncio
 import json
 import textwrap
 import time
@@ -22,19 +20,12 @@ from repro.analysis.findings import (
     load_baseline,
     write_baseline,
 )
-from repro.analysis.runtime import (
-    DeterminismGuard,
-    DeterminismViolation,
-    LoopStallWatchdog,
-)
+from repro.analysis.runtime import DeterminismGuard, DeterminismViolation
 from repro.analysis.sanitize import RULES
 from repro.obs import MetricsRegistry
 
-#: Synthetic in-package paths for fixtures.  ``serve/`` for the async
-#: rules (that is where the event loop lives), a plain module for the
-#: whole-repo rules.
+#: Synthetic in-package path for fixtures.
 SRC = "src/repro/system/sample.py"
-SERVE = "src/repro/serve/sample.py"
 
 
 def analyze(code, path=SRC, extra=None):
@@ -301,208 +292,6 @@ class TestRPS105BuiltinHash:
         )
 
 
-class TestRPS201BlockingInAsync:
-    def test_direct_blocking_call_flagged(self):
-        findings = analyze(
-            """
-            import time
-
-            async def handler():
-                time.sleep(1)
-            """,
-            path=SERVE,
-        )
-        assert rules(findings) == ["RPS201"]
-
-    def test_path_io_method_flagged(self):
-        findings = analyze(
-            """
-            from pathlib import Path
-
-            async def handler(path):
-                return Path(path).read_text()
-            """,
-            path=SERVE,
-        )
-        assert rules(findings) == ["RPS201"]
-
-    def test_to_thread_wrapped_clean(self):
-        assert (
-            analyze(
-                """
-                import asyncio
-                from pathlib import Path
-
-                async def handler(path):
-                    return await asyncio.to_thread(Path(path).read_text)
-                """,
-                path=SERVE,
-            )
-            == []
-        )
-
-    def test_blocking_helper_closure_flagged(self):
-        # Propagation: the helper blocks, the async caller is charged.
-        findings = analyze(
-            """
-            def load(path):
-                with open(path) as handle:
-                    return handle.read()
-
-            async def handler(path):
-                return load(path)
-            """,
-            path=SERVE,
-        )
-        assert rules(findings) == ["RPS201"]
-        assert "load" in findings[0].message
-
-
-class TestRPS202DroppedTasks:
-    def test_bare_create_task_flagged(self):
-        findings = analyze(
-            """
-            import asyncio
-
-            async def kick(coro):
-                asyncio.create_task(coro)
-            """,
-            path=SERVE,
-        )
-        assert rules(findings) == ["RPS202"]
-
-    def test_unobserved_binding_flagged(self):
-        findings = analyze(
-            """
-            import asyncio
-
-            async def kick(coro):
-                task = asyncio.create_task(coro)
-                return True
-            """,
-            path=SERVE,
-        )
-        assert rules(findings) == ["RPS202"]
-
-    def test_done_callback_clean(self):
-        assert (
-            analyze(
-                """
-                import asyncio
-
-                async def kick(coro, on_done):
-                    task = asyncio.create_task(coro)
-                    task.add_done_callback(on_done)
-                    return task
-                """,
-                path=SERVE,
-            )
-            == []
-        )
-
-    def test_self_attribute_observed_elsewhere_in_class_clean(self):
-        assert (
-            analyze(
-                """
-                import asyncio
-
-                class Batcher:
-                    async def start(self, coro):
-                        self._task = asyncio.create_task(coro)
-
-                    async def stop(self):
-                        await self._task
-                """,
-                path=SERVE,
-            )
-            == []
-        )
-
-
-class TestRPS203TimeoutAlias:
-    def test_bare_timeout_error_flagged(self):
-        findings = analyze(
-            """
-            import asyncio
-
-            async def fetch(queue):
-                try:
-                    return await asyncio.wait_for(queue.get(), 1.0)
-                except TimeoutError:
-                    return None
-            """,
-            path=SERVE,
-        )
-        assert rules(findings) == ["RPS203"]
-
-    def test_alias_tuple_clean(self):
-        assert (
-            analyze(
-                """
-                import asyncio
-
-                async def fetch(queue):
-                    try:
-                        return await asyncio.wait_for(queue.get(), 1.0)
-                    except (TimeoutError, asyncio.TimeoutError):
-                        return None
-                """,
-                path=SERVE,
-            )
-            == []
-        )
-
-    def test_sync_function_not_flagged(self):
-        # No await in scope: a socket-style TimeoutError is legitimate.
-        assert (
-            analyze(
-                """
-                def fetch(sock):
-                    try:
-                        return sock.recv(1)
-                    except TimeoutError:
-                        return None
-                """,
-                path=SERVE,
-            )
-            == []
-        )
-
-
-class TestRPS204AwaitUnderLock:
-    def test_sync_lock_around_await_flagged(self):
-        findings = analyze(
-            """
-            import threading
-
-            lock = threading.Lock()
-
-            async def update(queue):
-                with lock:
-                    await queue.put(1)
-            """,
-            path=SERVE,
-        )
-        assert rules(findings) == ["RPS204"]
-
-    def test_async_lock_clean(self):
-        assert (
-            analyze(
-                """
-                import asyncio
-
-                lock = asyncio.Lock()
-
-                async def update(queue):
-                    async with lock:
-                        await queue.put(1)
-                """,
-                path=SERVE,
-            )
-            == []
-        )
-
-
 class TestSuppressionAndScope:
     def test_pragma_silences_one_rule(self):
         findings = analyze(
@@ -762,57 +551,3 @@ class TestDeterminismGuard:
             assert result.refs_processed > 0
         finally:
             clear_caches()
-
-
-class TestLoopStallWatchdog:
-    def test_detects_a_blocked_loop(self):
-        registry = MetricsRegistry()
-
-        async def scenario():
-            watchdog = LoopStallWatchdog(
-                asyncio.get_running_loop(),
-                threshold_s=0.08,
-                poll_s=0.02,
-                registry=registry,
-            )
-            watchdog.start()
-            try:
-                time.sleep(0.4)  # deliberately starve the loop
-                await asyncio.sleep(0.15)  # let the heartbeat recover
-            finally:
-                watchdog.stop()
-            return watchdog
-
-        watchdog = asyncio.run(scenario())
-        assert watchdog.stalls >= 1
-        assert registry.value("serve.loop_stall") >= 1
-
-    def test_quiet_loop_reports_nothing(self):
-        registry = MetricsRegistry()
-
-        async def scenario():
-            watchdog = LoopStallWatchdog(
-                asyncio.get_running_loop(),
-                threshold_s=0.5,
-                poll_s=0.02,
-                registry=registry,
-            )
-            watchdog.start()
-            try:
-                for _ in range(5):
-                    await asyncio.sleep(0.02)
-            finally:
-                watchdog.stop()
-            return watchdog
-
-        watchdog = asyncio.run(scenario())
-        assert watchdog.stalls == 0
-        assert registry.value("serve.loop_stall") == 0
-
-    def test_rejects_nonsense_intervals(self):
-        loop = asyncio.new_event_loop()
-        try:
-            with pytest.raises(ValueError):
-                LoopStallWatchdog(loop, threshold_s=0.0)
-        finally:
-            loop.close()

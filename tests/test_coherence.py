@@ -6,6 +6,7 @@ and — the paper's headline claim — the shielding of the first-level
 cache by an inclusion-maintaining second level.
 """
 
+import pytest
 
 from repro.coherence.bus import Bus, MainMemory
 from repro.coherence.protocol import ShareState
@@ -196,6 +197,16 @@ class TestShielding:
         # Every coherence transaction h1 issued was forwarded to
         # h0's level 1 as a probe.
         assert h0.stats.counters["l1_coherence_probes"] >= 16
+
+    @pytest.mark.parametrize("kind", list(HierarchyKind))
+    def test_snoop_of_absent_block_builds_no_peer_set(self, kind):
+        # A snoop that misses in a fresh peer probes its tag stores
+        # without building a set there: an unbuilt set holds nothing.
+        layout, bus, (h0, h1) = machine(kind=kind)
+        h0.access(1, SHARED[1], W)
+        assert sum(bus.stats.as_dict().values()) > 0  # h1 was snooped
+        for store in [h1.rcache.store] + [l1.store for l1 in h1.l1_caches]:
+            assert store.live_sets() == []
 
     def test_inclusion_rr_shields_like_vr(self):
         layout, bus, (h0, h1) = machine(kind=HierarchyKind.RR_INCLUSION)

@@ -232,9 +232,8 @@ class TestDiskCache:
         deliberately corrupts entries in place: no load may ever raise
         or return a torn value, and the cache must stay usable after.
 
-        This is the multi-process guarantee the serving layer leans on
-        — many ``repro-serve`` workers (and ad-hoc CLI runs) share one
-        cache directory.
+        This is the multi-process guarantee concurrent CLI runs and
+        pool workers lean on when they share one cache directory.
         """
         root = str(tmp_path / "shared")
         rounds = 150
