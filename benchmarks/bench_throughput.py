@@ -79,21 +79,6 @@ def test_multiprocessor_step_rate(benchmark):
     assert benchmark(run) == N_REFS
 
 
-def test_multiprocessor_step_rate_soa(benchmark):
-    """The struct-of-arrays engine on the same workload as the object
-    engine's step-rate benchmark, so the two series stay comparable."""
-    workload = SyntheticWorkload(_spec())
-    records = workload.records()
-
-    def run():
-        machine = Multiprocessor(
-            workload.layout, 2, HierarchyConfig.sized("4K", "64K"), engine="soa"
-        )
-        return machine.run(records).refs_processed
-
-    assert benchmark(run) == N_REFS
-
-
 def test_rr_no_inclusion_snoop_rate(benchmark):
     """The no-inclusion snoop path probes level 1 on every coherence
     transaction — track that it stays affordable."""
@@ -114,13 +99,16 @@ def test_rr_no_inclusion_snoop_rate(benchmark):
 
 
 def measure_engines(rounds: int = 2) -> dict:
-    """Measure replay throughput for both engines; return the payload.
+    """Measure replay throughput of the walker and the scalar loop.
 
-    The measurement matches the recorded baseline's workload exactly
-    (60k refs, 2 CPUs, 4K/64K V-R); best-of-*rounds* reduces timer
-    noise.  The payload is what ``test_replay_throughput_floor``
-    writes to ``benchmarks/results/BENCH_throughput.json`` (and the
-    repo root publishes as ``BENCH_throughput.json``); CI uploads it.
+    ``Multiprocessor.run`` replays through the walker;
+    ``Multiprocessor.run_scalar`` is the reference loop that sends
+    every reference through ``TwoLevelHierarchy.access``.  The
+    measurement matches the recorded baseline's workload exactly (60k
+    refs, 2 CPUs, 4K/64K V-R); best-of-*rounds* reduces timer noise.
+    The payload is what ``test_replay_throughput_floor`` writes to
+    ``benchmarks/results/BENCH_throughput.json`` (and the repo root
+    publishes as ``BENCH_throughput.json``); CI uploads it.
     """
     baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
     shape = baseline["workload"]
@@ -130,8 +118,8 @@ def measure_engines(rounds: int = 2) -> dict:
     records = workload.records()
     trace_gen_s = perf_counter() - gen_started
 
-    engines: dict[str, dict] = {}
-    for engine in ("object", "soa"):
+    paths: dict[str, dict] = {}
+    for path in ("scalar", "walker"):
         best_rate = 0.0
         timings: dict[str, float] = {}
         for _ in range(rounds):
@@ -139,42 +127,44 @@ def measure_engines(rounds: int = 2) -> dict:
                 workload.layout,
                 shape["n_cpus"],
                 HierarchyConfig.sized(shape["l1"], shape["l2"]),
-                engine=engine,
             )
-            result = machine.run(records)
+            if path == "walker":
+                result = machine.run(records)
+            else:
+                result = machine.run_scalar(records)
             assert result.refs_processed == shape["total_refs"]
             rate = result.refs_processed / result.timings["replay_s"]
             if rate > best_rate:
                 best_rate = rate
                 timings = dict(result.timings)
-        base_engine = baseline["engines"][engine]
-        engines[engine] = {
+        base_path = baseline["paths"][path]
+        paths[path] = {
             "replay_refs_per_s": round(best_rate),
             "timings_s": {
                 name: round(value, 4) for name, value in timings.items()
             },
-            "baseline_refs_per_s": base_engine["replay_refs_per_s"],
+            "baseline_refs_per_s": base_path["replay_refs_per_s"],
             "floor_refs_per_s": round(
-                base_engine["replay_refs_per_s"] / base_engine["floor_divisor"]
+                base_path["replay_refs_per_s"] / base_path["floor_divisor"]
             ),
         }
-    obj_rate = engines["object"]["replay_refs_per_s"]
-    soa_rate = engines["soa"]["replay_refs_per_s"]
+    scalar_rate = paths["scalar"]["replay_refs_per_s"]
+    walker_rate = paths["walker"]["replay_refs_per_s"]
     return {
         "workload": shape,
-        "engines": engines,
-        "soa_speedup": round(soa_rate / obj_rate, 3),
+        "paths": paths,
+        "walker_speedup": round(walker_rate / scalar_rate, 3),
         "trace_gen_refs_per_s": round(shape["total_refs"] / trace_gen_s),
     }
 
 
 def test_replay_throughput_floor():
-    """Measure both engines, publish the figures, guard the floors.
+    """Measure both replay paths, publish the figures, guard the floors.
 
-    Fails when either engine drops below its recorded floor or when
-    the SoA engine falls behind the object engine — the SoA core only
-    exists to be faster, so "slower than object" is a regression even
-    while above its absolute floor.
+    Fails when either path drops below its recorded floor or when the
+    walker falls behind the scalar loop — the walker only exists to be
+    faster, so "slower than scalar" is a regression even while above
+    its absolute floor.
     """
     payload = measure_engines()
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -182,16 +172,16 @@ def test_replay_throughput_floor():
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-    for engine, figures in payload["engines"].items():
+    for path, figures in payload["paths"].items():
         assert figures["replay_refs_per_s"] >= figures["floor_refs_per_s"], (
-            f"{engine} replay throughput regressed: "
+            f"{path} replay throughput regressed: "
             f"{figures['replay_refs_per_s']} refs/s is below the floor of "
             f"{figures['floor_refs_per_s']} "
             f"(baseline {figures['baseline_refs_per_s']})"
         )
-    obj_rate = payload["engines"]["object"]["replay_refs_per_s"]
-    soa_rate = payload["engines"]["soa"]["replay_refs_per_s"]
-    assert soa_rate >= obj_rate, (
-        f"SoA engine ({soa_rate} refs/s) fell behind the object engine "
-        f"({obj_rate} refs/s); the vectorized hot path has regressed"
+    scalar_rate = payload["paths"]["scalar"]["replay_refs_per_s"]
+    walker_rate = payload["paths"]["walker"]["replay_refs_per_s"]
+    assert walker_rate >= scalar_rate, (
+        f"the walker ({walker_rate} refs/s) fell behind the scalar loop "
+        f"({scalar_rate} refs/s); the vectorized hot path has regressed"
     )

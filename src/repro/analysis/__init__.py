@@ -20,7 +20,7 @@ Its console entry points:
   one fingerprint baseline (:mod:`repro.analysis.findings`) cover
   both.
 * ``repro-diff`` (:mod:`repro.analysis.differential`) — the
-  object-vs-SoA engine differential harness.
+  walker-vs-scalar differential harness.
 
 The runtime companion of the RPS rules,
 :class:`~repro.analysis.runtime.DeterminismGuard`, lives in

@@ -1,7 +1,10 @@
-"""``repro-diff``: the object-vs-SoA engine differential harness.
+"""``repro-diff``: the walker-vs-scalar differential harness.
 
-Replays the same workload through both replay engines and asserts the
-strongest equivalence the repository can express:
+Replays the same workload through the replay walker
+(``Multiprocessor.run``) and through the scalar reference loop
+(``Multiprocessor.run_scalar``, ``TwoLevelHierarchy.access`` per
+reference) and asserts the strongest equivalence the repository can
+express:
 
 * every per-CPU hierarchy counter is equal,
 * bus transaction counts, main-memory counts and TLB counters are equal,
@@ -10,8 +13,8 @@ strongest equivalence the repository can express:
 * the full exported machine states (tag stores, subentry bits, write
   buffers, TLBs, version stamps) have identical canonical digests.
 
-Any divergence is a bug in one of the engines; the report names the
-first differing counter to make the protocol discrepancy obvious.
+Any divergence is a bug in the walker; the report names the first
+differing counter to make the protocol discrepancy obvious.
 
 Examples::
 
@@ -36,12 +39,12 @@ from ..hierarchy.config import HierarchyConfig, HierarchyKind
 from ..system.multiprocessor import Multiprocessor
 from ..trace.workloads import get_spec, make_workload, workload_names
 
-#: Engines the harness compares, reference engine first.
-ENGINES = ("object", "soa")
+#: The replay paths the harness compares, reference first.
+PATHS = ("scalar", "walker")
 
 #: Default trace scale: large enough to exercise synonyms, context
 #: switches and write-buffer pressure on every tier-1 workload, small
-#: enough that both engines replay all three in seconds.
+#: enough that both paths replay all three in seconds.
 DEFAULT_SCALE = 0.02
 
 
@@ -50,8 +53,8 @@ def canonical_digest(state: Any) -> str:
 
     Dictionaries are rewritten in sorted key order before pickling so
     that two semantically equal states hash equally even when their
-    dicts were populated in different orders (the engines mint some
-    counters in different sequences).
+    dicts were populated in different orders (the walker mints some
+    counters in a different sequence than the scalar loop).
     """
 
     def canon(obj: Any) -> Any:
@@ -66,10 +69,10 @@ def canonical_digest(state: Any) -> str:
 
 
 @dataclass
-class EngineRun:
-    """One engine's observable output on one workload."""
+class ReplayRun:
+    """One replay path's observable output on one workload."""
 
-    engine: str
+    path: str
     refs: int
     seconds: float
     counters: list[dict[Any, int]]
@@ -102,13 +105,13 @@ class WorkloadDiff:
         }
 
 
-def _run_engine(
-    engine: str,
+def _replay(
+    path: str,
     name: str,
     scale: float,
     config: HierarchyConfig,
     streamed: bool = False,
-) -> EngineRun:
+) -> ReplayRun:
     from ..faults.checkpoint import export_machine
 
     spec = get_spec(name, scale)
@@ -121,15 +124,15 @@ def _run_engine(
         workload = make_workload(name, scale)
         trace = workload
         layout = workload.layout
-    machine = Multiprocessor(layout, spec.n_cpus, config, engine=engine)
+    machine = Multiprocessor(layout, spec.n_cpus, config)
     started = perf_counter()
-    result = machine.run(trace)
+    result = machine.run(trace) if path == "walker" else machine.run_scalar(trace)
     seconds = perf_counter() - started
     metrics = result.metrics().snapshot()
     metrics_bytes = json.dumps(metrics, sort_keys=True).encode()
     state = export_machine(machine, result.refs_processed, result.refs_processed)
-    return EngineRun(
-        engine=engine,
+    return ReplayRun(
+        path=path,
         refs=result.refs_processed,
         seconds=seconds,
         counters=[dict(s.counters.as_dict()) for s in result.per_cpu],
@@ -145,8 +148,8 @@ def _first_counter_diff(
     label: str,
     a: dict[Any, int],
     b: dict[Any, int],
-    a_name: str = "object",
-    b_name: str = "soa",
+    a_name: str = "scalar",
+    b_name: str = "walker",
 ) -> list[str]:
     out = []
     for key in sorted(set(a) | set(b), key=repr):
@@ -158,11 +161,9 @@ def _first_counter_diff(
     return out
 
 
-def _compare_runs(
-    ref: EngineRun, other: EngineRun, label: str
-) -> list[str]:
+def _compare_runs(ref: ReplayRun, other: ReplayRun, label: str) -> list[str]:
     """Every observable of *other* checked against the reference run."""
-    ref_name = ref.engine
+    ref_name = ref.path
     mismatches: list[str] = []
     if ref.refs != other.refs:
         mismatches.append(
@@ -192,27 +193,26 @@ def diff_workload(
     config: HierarchyConfig | None = None,
     streamed: bool = False,
 ) -> WorkloadDiff:
-    """Replay *name* on both engines and compare every observable.
+    """Replay *name* on both paths and compare every observable.
 
-    With *streamed*, both engines additionally replay the workload
+    With *streamed*, both paths additionally replay the workload
     through the bounded-chunk stream layer, and all four runs must
     agree — the streaming-equivalence acceptance check.
     """
     if config is None:
         config = HierarchyConfig.sized("4K", "64K")
-    runs: dict[str, EngineRun] = {
-        engine: _run_engine(engine, name, scale, config)
-        for engine in ENGINES
+    runs: dict[str, ReplayRun] = {
+        path: _replay(path, name, scale, config) for path in PATHS
     }
     if streamed:
-        for engine in ENGINES:
-            runs[f"{engine}+stream"] = _run_engine(
-                engine, name, scale, config, streamed=True
+        for path in PATHS:
+            runs[f"{path}+stream"] = _replay(
+                path, name, scale, config, streamed=True
             )
-    ref = runs["object"]
+    ref = runs["scalar"]
     mismatches: list[str] = []
     for label, run in runs.items():
-        if label == "object":
+        if label == "scalar":
             continue
         mismatches += _compare_runs(ref, run, label)
     return WorkloadDiff(
@@ -246,8 +246,9 @@ _KINDS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-diff",
-        description="Replay tier-1 workloads on both replay engines and "
-        "assert bit-identical counters, metrics and machine states.",
+        description="Replay tier-1 workloads through the walker and the "
+        "scalar reference loop and assert bit-identical counters, "
+        "metrics and machine states.",
     )
     parser.add_argument(
         "--workload",
@@ -273,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--streamed",
         action="store_true",
-        help="also replay each engine through the bounded-chunk stream "
+        help="also replay each path through the bounded-chunk stream "
         "layer and require all four runs to agree",
     )
     parser.add_argument(
@@ -289,8 +290,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     for diff in diffs:
         status = "ok " if diff.equal else "FAIL"
         timing = " ".join(
-            f"{engine}={seconds:.2f}s"
-            for engine, seconds in diff.seconds.items()
+            f"{label}={seconds:.2f}s" for label, seconds in diff.seconds.items()
         )
         print(
             f"{status} {diff.workload:8s} refs={diff.refs:<8d} "

@@ -230,16 +230,9 @@ def explore(
     scenario: Scenario,
     max_states: int = 20000,
     with_snoop_table: bool = True,
-    engine: str = "object",
 ) -> ScenarioReport:
-    """Exhaustively explore one scenario's reachable state space.
-
-    *engine* picks the concrete machine under exploration ("object" or
-    "soa"); the abstraction and the report format are identical, so a
-    diff of the two engines' reports is the model-checking half of the
-    engine-equivalence argument.
-    """
-    model = ProtocolModel(scenario, engine=engine)
+    """Exhaustively explore one scenario's reachable state space."""
+    model = ProtocolModel(scenario)
     initial = model.abstract()
     ids: dict[tuple, int] = {initial: 0}
     states: list[tuple] = [initial]
@@ -302,7 +295,7 @@ def explore(
                 counterexamples.append(
                     Counterexample(path_to(source) + [event], target, messages)
                 )
-    rows = snoop_table(scenario, engine=engine) if with_snoop_table else []
+    rows = snoop_table(scenario) if with_snoop_table else []
     return ScenarioReport(
         scenario=scenario,
         states=states,
@@ -313,15 +306,13 @@ def explore(
     )
 
 
-def replay(
-    scenario: Scenario, events: list[str], engine: str = "object"
-) -> list[str]:
+def replay(scenario: Scenario, events: list[str]) -> list[str]:
     """Re-run a counterexample trace; returns accumulated violations.
 
     Used by tests and by ``repro-verify --replay`` to confirm that a
     reported trace reproduces outside the explorer.
     """
-    model = ProtocolModel(scenario, engine=engine)
+    model = ProtocolModel(scenario)
     collected: list[str] = []
     for event in events:
         try:

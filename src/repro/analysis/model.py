@@ -134,21 +134,10 @@ def scenario_named(name: str) -> Scenario:
 
 
 class ProtocolModel:
-    """A concrete machine plus the abstraction the explorer quotients by.
+    """A concrete machine plus the abstraction the explorer quotients by."""
 
-    *engine* selects the concrete machine's hierarchy class: "object"
-    builds the reference :class:`TwoLevelHierarchy`, "soa" builds the
-    array-backed :class:`repro.core.SoAHierarchy`.  Both expose the
-    same scalar protocol methods, so the explorer drives either
-    unchanged — running the BFS against "soa" pins the SoA core's
-    state machine to the reference one's.
-    """
-
-    def __init__(self, scenario: Scenario, engine: str = "object") -> None:
-        if engine not in ("object", "soa"):
-            raise ValueError(f"unknown engine {engine!r} (use 'object' or 'soa')")
+    def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
-        self.engine = engine
         layout = MemoryLayout(page_size=PAGE_SIZE)
         layout.add_shared_segment(
             "shm",
@@ -173,12 +162,8 @@ class ProtocolModel:
         # A drain period beyond any reachable path length makes write
         # buffer draining an *explicit* event (d0/d1) instead of hidden
         # modulo-counter state the abstraction cannot see.
-        if engine == "soa":
-            from ..core.soa import SoAHierarchy as hierarchy_cls
-        else:
-            hierarchy_cls = TwoLevelHierarchy
         self.hierarchies = [
-            hierarchy_cls(
+            TwoLevelHierarchy(
                 config,
                 layout,
                 self.bus,
@@ -513,9 +498,7 @@ def all_sub_combos() -> list[tuple[bool, bool, ShareState, bool, bool]]:
     return out
 
 
-def snoop_table(
-    scenario: Scenario, engine: str = "object"
-) -> list[dict[str, Any]]:
+def snoop_table(scenario: Scenario) -> list[dict[str, Any]]:
     """The full subentry-state x bus-event reaction table.
 
     For every one of the 32 subentry bit combinations, a fresh machine
@@ -534,7 +517,7 @@ def snoop_table(
     rows: list[dict[str, Any]] = []
     for inclusion, buffer, share, vdirty, rdirty in all_sub_combos():
         for op in _SNOOP_OPS:
-            model = ProtocolModel(scenario, engine=engine)
+            model = ProtocolModel(scenario)
             hier = model.hierarchies[0]
             rblock = hier.rcache.store.ways(0)[0]
             rblock.tag = 0

@@ -2,7 +2,7 @@
 analysis.
 
 The repo's headline guarantee — bit-identical results across
-``--jobs`` settings, engines, checkpoint resume and cache replay —
+``--jobs`` settings, replay paths, checkpoint resume and cache replay —
 is only as strong as the code that computes keys, evolves simulation
 state and writes journals.  The RPL rules (:mod:`repro.analysis.lint`)
 check single-node AST patterns file by file; this module checks

@@ -71,13 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the static subentry x bus-event cross-product table",
     )
     parser.add_argument(
-        "--engine",
-        choices=["object", "soa"],
-        default="object",
-        help="concrete machine under exploration: the reference object "
-        "hierarchy or the struct-of-arrays core (default: object)",
-    )
-    parser.add_argument(
         "--quiet", action="store_true", help="summary lines only"
     )
     return parser
@@ -130,7 +123,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 scenario,
                 max_states=args.max_states,
                 with_snoop_table=not args.no_snoop_table,
-                engine=args.engine,
             )
         except ExplorationLimitError as exc:
             print(f"{scenario.name}: {exc}", file=sys.stderr)

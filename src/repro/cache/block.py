@@ -5,6 +5,12 @@ Figure 3 puts in a *V-cache* tag entry (tag, r-pointer, dirty, valid,
 swapped-valid) plus a data *version stamp* used by the simulator to
 verify write-back and coherence correctness without storing bytes.
 
+The state itself lives in the owning :class:`~repro.cache.tagstore.
+TagStore`'s flat arrays, indexed by ``set * associativity + way``; a
+block is a *view* of one index.  The protocol code reads and writes
+views, while the replay walker (``repro.core.soa``) reads and writes
+the arrays directly.
+
 The R-cache's richer entries (per-sub-block inclusion/buffer/state
 bits and v-pointers) are built in ``repro.hierarchy.rcache`` on top of
 this class.
@@ -12,9 +18,16 @@ this class.
 
 from __future__ import annotations
 
+from typing import Any
+
+# Block flag bits, one byte per block in ``TagStore.flags``.
+F_VALID = 1
+F_SWAPPED = 2
+F_DIRTY = 4
+
 
 class CacheBlock:
-    """One way of one set in a tag store.
+    """One way of one set in a tag store, viewed over its arrays.
 
     A block is *addressable* (its data physically present and findable
     by the second level) when ``valid or swapped_valid``; it is
@@ -22,39 +35,126 @@ class CacheBlock:
     implements the paper's swapped-valid bit: a context switch turns
     valid blocks into swapped-valid ones whose dirty data survives
     until the slot is reused.
+
+    Every getter returns a plain ``int``/``bool``/tuple, so values
+    escaping into replacement orders, checkpoints and digests never
+    carry array types.  Setters of the tag and of any flag bit append
+    the block's flat index to the store's change log, which the replay
+    walker folds into its per-chunk taint sets.
     """
 
     __slots__ = (
         "set_index",
         "way",
-        "valid",
-        "swapped_valid",
-        "dirty",
-        "tag",
-        "r_pointer",
-        "version",
+        "_tg",
+        "_fl",
+        "_vr",
+        "_ps",
+        "_pw",
+        "_pb",
+        "_dl",
+        "_g",
     )
 
-    def __init__(self, set_index: int, way: int) -> None:
+    def __init__(self, store: Any, set_index: int, way: int) -> None:
         self.set_index = set_index
         self.way = way
-        self.valid = False
-        self.swapped_valid = False
-        self.dirty = False
-        self.tag = 0
-        self.r_pointer = 0
-        self.version = 0
+        self._tg = store.tags
+        self._fl = store.flags
+        self._vr = store.versions
+        self._ps = store.rp_set
+        self._pw = store.rp_way
+        self._pb = store.rp_sub
+        self._dl = store.dirty_log
+        self._g = set_index * store.config.associativity + way
+
+    @property
+    def valid(self) -> bool:
+        return bool(self._fl[self._g] & F_VALID)
+
+    @valid.setter
+    def valid(self, value: bool) -> None:
+        g = self._g
+        if value:
+            self._fl[g] |= F_VALID
+        else:
+            self._fl[g] &= 0xFF ^ F_VALID
+        self._dl.append(g)
+
+    @property
+    def swapped_valid(self) -> bool:
+        return bool(self._fl[self._g] & F_SWAPPED)
+
+    @swapped_valid.setter
+    def swapped_valid(self, value: bool) -> None:
+        g = self._g
+        if value:
+            self._fl[g] |= F_SWAPPED
+        else:
+            self._fl[g] &= 0xFF ^ F_SWAPPED
+        self._dl.append(g)
+
+    @property
+    def dirty(self) -> bool:
+        return bool(self._fl[self._g] & F_DIRTY)
+
+    @dirty.setter
+    def dirty(self, value: bool) -> None:
+        g = self._g
+        if value:
+            self._fl[g] |= F_DIRTY
+        else:
+            self._fl[g] &= 0xFF ^ F_DIRTY
+        self._dl.append(g)
+
+    @property
+    def tag(self) -> int:
+        return self._tg[self._g]
+
+    @tag.setter
+    def tag(self, value: int) -> None:
+        g = self._g
+        self._tg[g] = value
+        self._dl.append(g)
+
+    @property
+    def version(self) -> int:
+        return self._vr[self._g]
+
+    @version.setter
+    def version(self, value: int) -> None:
+        self._vr[self._g] = value
+
+    @property
+    def r_pointer(self) -> Any:
+        """The parent R-cache slot ``(set, way, subentry)``, or the
+        power-on placeholder ``0``."""
+        g = self._g
+        s = self._ps[g]
+        if s < 0:
+            return 0
+        return (s, self._pw[g], self._pb[g])
+
+    @r_pointer.setter
+    def r_pointer(self, value: Any) -> None:
+        g = self._g
+        if isinstance(value, (tuple, list)):
+            self._ps[g] = value[0]
+            self._pw[g] = value[1]
+            self._pb[g] = value[2]
+        else:
+            self._ps[g] = -1
 
     @property
     def present(self) -> bool:
         """True when the slot physically holds a block (valid or swapped)."""
-        return self.valid or self.swapped_valid
+        return bool(self._fl[self._g] & (F_VALID | F_SWAPPED))
 
     def invalidate(self) -> None:
         """Drop the block entirely (data discarded)."""
-        self.valid = False
-        self.swapped_valid = False
-        self.dirty = False
+        g = self._g
+        self._fl[g] = 0
+        self._dl.append(g)
 
     def swap_out(self) -> None:
         """Context switch: valid -> swapped-valid, data retained.
@@ -62,18 +162,20 @@ class CacheBlock:
         A block that is already swapped-valid stays swapped-valid; an
         invalid slot is untouched.
         """
-        if self.valid:
-            self.valid = False
-            self.swapped_valid = True
+        g = self._g
+        flags = self._fl[g]
+        if flags & F_VALID:
+            self._fl[g] = (flags & ~F_VALID) | F_SWAPPED
+            self._dl.append(g)
 
-    def fill(self, tag: int, r_pointer: int, version: int) -> None:
+    def fill(self, tag: int, r_pointer: Any, version: int) -> None:
         """Load a clean block into this slot."""
-        self.tag = tag
         self.r_pointer = r_pointer
-        self.version = version
-        self.valid = True
-        self.swapped_valid = False
-        self.dirty = False
+        g = self._g
+        self._tg[g] = tag
+        self._vr[g] = version
+        self._fl[g] = F_VALID
+        self._dl.append(g)
 
     def __repr__(self) -> str:
         flags = "".join(

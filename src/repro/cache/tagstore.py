@@ -5,26 +5,38 @@ slices addresses per a :class:`CacheConfig`, finds matching blocks,
 chooses victims and maintains replacement state.  The V-cache and
 R-cache wrap it with their own semantics (swapped-valid handling,
 subentries, inclusion).
+
+The store owns its state as flat arrays indexed by
+``set * associativity + way`` (tags, flag bits, version stamps,
+r-pointers); :class:`CacheBlock` objects are views of one index each,
+built per set on first use.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 
+import numpy as np
+
 from ..common.errors import ConfigurationError
-from .block import CacheBlock
+from .block import F_SWAPPED, F_VALID, CacheBlock
 from .config import CacheConfig
 from .replacement import ReplacementPolicy, make_policy
 
 BlockFactory = Callable[[int, int], CacheBlock]
 
+#: A change log that keeps nothing, for stores no replay walker reads.
+_DISCARD: deque[int] = deque(maxlen=0)
+
 
 class _Sets(dict[int, list[CacheBlock]]):
-    """Set index -> the set's blocks (every way), built on first lookup.
+    """Set index -> the set's block views (every way), built on first use.
 
-    A set nothing has looked up holds only power-on blocks, so building
-    it late changes nothing a simulation can observe, and a run pays
-    only for the sets it touches.
+    Building a set only creates views; the state they show is already
+    in the arrays, so building late changes nothing a simulation can
+    observe, and a run pays only for the sets it touches.
     """
 
     __slots__ = ("_factory", "_indices", "_ways")
@@ -47,11 +59,17 @@ class _Sets(dict[int, list[CacheBlock]]):
 
 
 class TagStore:
-    """Tag array + replacement state for one cache.
+    """Tag arrays + replacement state for one cache.
 
-    The *block_factory* lets a subsystem substitute a richer block
+    The *block_factory* lets a subsystem substitute a richer view
     class (the R-cache does); it must accept ``(set_index, way)``.
-    Sets are built on first use (see :meth:`live_sets`).
+    *dirty_log*, when given, receives the flat index of every block
+    whose tag or flag bits a view changes (the level-1 caches pass the
+    list the replay walker drains); *planes* are the owner's extra
+    ``(buffer, dtype, power-on value)`` arrays, laid out set-major,
+    that :meth:`live_sets` must also inspect.  A store whose blocks
+    carry no r-pointer (the R-cache's) passes ``r_pointers=False`` and
+    allocates no r-pointer arrays.
 
     >>> store = TagStore(CacheConfig.create("1K", block_size=16, associativity=2))
     >>> store.find(0x40) is None
@@ -61,19 +79,32 @@ class TagStore:
     __slots__ = (
         "config",
         "policy",
+        "tags",
+        "flags",
+        "versions",
+        "rp_set",
+        "rp_way",
+        "rp_sub",
+        "dirty_log",
         "_sets",
+        "_planes",
+        "_ways",
         "_block_bits",
         "_set_bits",
         "_set_mask",
+        "_assoc",
         "_multiway",
     )
 
     def __init__(
         self,
         config: CacheConfig,
-        block_factory: BlockFactory = CacheBlock,
+        block_factory: BlockFactory | None = None,
         replacement: str | ReplacementPolicy = "lru",
         seed: int = 0,
+        dirty_log: list[int] | None = None,
+        planes: tuple = (),
+        r_pointers: bool = True,
     ) -> None:
         self.config = config
         if isinstance(replacement, str):
@@ -87,6 +118,31 @@ class TagStore:
             ):
                 raise ConfigurationError("replacement policy geometry mismatch")
             self.policy = replacement
+        n = config.n_sets * config.associativity
+        self.tags = array("q", bytes(8 * n))
+        self.flags = bytearray(n)
+        self.versions = array("q", bytes(8 * n))
+        self._planes = (
+            (self.tags, np.int64, 0),
+            (self.flags, np.uint8, 0),
+            (self.versions, np.int64, 0),
+        ) + planes
+        self.rp_set: array[int] | None = None
+        self.rp_way: array[int] | None = None
+        self.rp_sub: array[int] | None = None
+        if r_pointers:
+            # A negative set is the power-on placeholder r-pointer 0.
+            self.rp_set = array("q", [-1]) * n
+            self.rp_way = array("q", bytes(8 * n))
+            self.rp_sub = array("q", bytes(8 * n))
+            self._planes += (
+                (self.rp_set, np.int64, -1),
+                (self.rp_way, np.int64, 0),
+                (self.rp_sub, np.int64, 0),
+            )
+        self.dirty_log = _DISCARD if dirty_log is None else dirty_log
+        if block_factory is None:
+            block_factory = self._block
         self._sets: dict[int, list[CacheBlock]] = _Sets(
             block_factory, config.n_sets, config.associativity
         )
@@ -94,10 +150,15 @@ class TagStore:
         # the shifts/masks are cached here, and replacement bookkeeping
         # is skipped entirely for direct-mapped stores (every policy is
         # a no-op over a single way).
+        self._ways = range(config.associativity)
         self._block_bits = config.block_bits
         self._set_bits = config.set_bits
         self._set_mask = config.set_mask
+        self._assoc = config.associativity
         self._multiway = config.associativity > 1
+
+    def _block(self, set_index: int, way: int) -> CacheBlock:
+        return CacheBlock(self, set_index, way)
 
     # -- lookup ----------------------------------------------------------
 
@@ -107,25 +168,38 @@ class TagStore:
 
     def live_sets(self) -> list[int]:
         """Ascending indices of the sets that may hold non-power-on
-        blocks: every set built so far.  Whole-cache walks visit only
-        these; every other set is in its power-on state."""
-        return sorted(self._sets)
+        blocks: every set built so far, plus every set whose arrays
+        differ from power-on (the replay walker writes the arrays
+        without building views).  Whole-cache walks visit only these;
+        every other set is in its power-on state."""
+        n_sets = self.config.n_sets
+        live = np.zeros(n_sets, dtype=bool)
+        for buffer, dtype, power_on in self._planes:
+            plane = np.frombuffer(buffer, dtype=dtype).reshape(n_sets, -1)
+            live |= (plane != power_on).any(axis=1)
+        live[np.fromiter(self._sets, dtype=np.intp, count=len(self._sets))] = True
+        return np.flatnonzero(live).tolist()
 
     def find(self, addr: int, include_swapped: bool = False) -> CacheBlock | None:
         """Tag-match *addr*; no replacement-state side effects.
 
         With *include_swapped* the search also matches blocks whose
         data is physically present but invalidated by a context switch
-        (swapped-valid).  A set never built holds only power-on
-        blocks, so a lookup there misses without building it.
+        (swapped-valid).  The scan reads the arrays, so only a hit
+        builds the set's views: a lookup of an absent block builds
+        nothing.
         """
         block_number = addr >> self._block_bits
+        set_index = block_number & self._set_mask
         tag = block_number >> self._set_bits
-        for block in self._sets.get(block_number & self._set_mask, ()):
-            if block.tag == tag and (
-                block.valid or (include_swapped and block.swapped_valid)
-            ):
-                return block
+        want = F_VALID | F_SWAPPED if include_swapped else F_VALID
+        flags = self.flags
+        tags = self.tags
+        base = set_index * self._assoc
+        for way in self._ways:
+            g = base + way
+            if flags[g] & want and tags[g] == tag:
+                return self._sets[set_index][way]
         return None
 
     def access(self, addr: int) -> CacheBlock | None:
@@ -133,11 +207,15 @@ class TagStore:
         block_number = addr >> self._block_bits
         set_index = block_number & self._set_mask
         tag = block_number >> self._set_bits
-        for block in self._sets[set_index]:
-            if block.tag == tag and block.valid:
+        flags = self.flags
+        tags = self.tags
+        base = set_index * self._assoc
+        for way in self._ways:
+            g = base + way
+            if flags[g] & F_VALID and tags[g] == tag:
                 if self._multiway:
-                    self.policy.on_access(set_index, block.way)
-                return block
+                    self.policy.on_access(set_index, way)
+                return self._sets[set_index][way]
         return None
 
     def touch(self, block: CacheBlock) -> None:
@@ -163,12 +241,14 @@ class TagStore:
         """
         set_index = (addr >> self._block_bits) & self._set_mask
         ways = self._sets[set_index]
-        for block in ways:
-            if not block.present:
-                return block
+        flags = self.flags
+        base = set_index * self._assoc
+        for way in self._ways:
+            if not flags[base + way] & (F_VALID | F_SWAPPED):
+                return ways[way]
         if not self._multiway:
             return ways[0]
-        candidates: Sequence[int] = range(len(ways))
+        candidates: Sequence[int] = self._ways
         if prefer is not None:
             preferred = [block.way for block in ways if prefer(block)]
             if preferred:

@@ -1,78 +1,46 @@
-"""Struct-of-arrays replay core (the ``--engine soa`` backend).
+"""The replay walker: the fast path of ``Multiprocessor.run``.
 
-The object engine spends most of its time chasing ``CacheBlock``
-instances through Python attribute access.  This module keeps the
-*protocol* code — every miss, synonym move, coherence event and
-context switch still runs the unmodified ``TwoLevelHierarchy``
-methods — but stores all hot metadata in flat numpy vectors indexed
-by ``set * assoc + way``:
+Every piece of cache state lives in flat arrays owned by the tag
+stores, the R-cache and the TLB (DESIGN.md §13); the protocol code in
+``TwoLevelHierarchy`` reads and writes them through block views.  This
+module reads and writes the arrays directly.
 
-* level-1 tags / flag bits / version stamps / r-pointers,
-* R-cache tags plus per-subentry flag bits and v-pointers,
-* TLB entries (pid, vpage, frame, LRU timestamp, valid),
-* write-buffer slots (pblock, version, swapped).
+:func:`run_soa` consumes the trace in bounded chunks, classifies every
+reference of a chunk with vectorized array ops (L1 tag match + dirty
+bit, TLB probe for physically-indexed level 1), and then walks the
+chunk in :func:`_walk_chunk`, committing pure level-1 hits with a
+handful of integer operations and escaping to
+``TwoLevelHierarchy.access`` for everything else.  The commonest
+misses are handled natively over the arrays (the miss handlers built
+in :func:`run_soa`).  Chunk-boundary semantics (how a scalar escape
+invalidates earlier classifications) are documented in DESIGN.md §13.
+``_walk_chunk`` is the RPL005-audited function: it performs no
+attribute lookups and no container allocation per reference.
 
-The bridge between the two worlds is a set of *view* classes
-(:class:`SoABlock`, :class:`SoASub`, :class:`SoARBlock`,
-:class:`SoAWriteBufferEntry`): each is a real subclass of the object
-model's class whose field accessors are properties over the shared
-arrays.  The scalar protocol code reads and writes views exactly as it
-would plain blocks, so SoA and object runs are bit-identical by
-construction; checkpoints, the invariant checker and the BFS model
-checker all work unchanged.
-
-:func:`run_soa` is the fast replay loop.  It consumes the trace in
-bounded chunks, classifies every reference of a chunk with vectorized
-array ops (L1 tag match + dirty bit, TLB probe for physically-indexed
-level 1), and then walks the chunk in :func:`_walk_chunk`, committing
-pure level-1 hits with a handful of integer operations and escaping to
-``TwoLevelHierarchy.access`` for everything else.  Chunk-boundary
-semantics (how a scalar escape invalidates earlier classifications)
-are documented in DESIGN.md §13.  ``_walk_chunk`` is the
-RPL005-audited function: it performs no attribute lookups and no
-container allocation per reference.
+``Multiprocessor.run_scalar`` is the reference loop the walker must
+match bit for bit: ``TwoLevelHierarchy.access`` for every reference.
 """
 
 from __future__ import annotations
 
-from array import array
 from itertools import islice
 from typing import Any
 
 import numpy as np
 
-from ..cache.block import CacheBlock
-from ..cache.config import CacheConfig
-from ..cache.tagstore import BlockFactory, TagStore
-from ..cache.write_buffer import WriteBuffer, WriteBufferEntry
-from ..coherence.protocol import ShareState
+from ..cache.write_buffer import WriteBufferEntry
 from ..common.errors import InclusionError, ProtocolError
-from ..hierarchy.l1 import L1Cache
-from ..hierarchy.rcache import RCache, RCacheBlock, SubEntry
+from ..hierarchy.rcache import (
+    S_BUF as _S_BUF,
+    S_INCL as _S_INCL,
+    S_RDIRTY as _S_RDIRTY,
+    S_SHARED as _S_SHARED,
+    S_VALID as _S_VALID,
+    S_VDIRTY as _S_VDIRTY,
+)
 from ..hierarchy.stats import _L1_KEYS
-from ..hierarchy.twolevel import TwoLevelHierarchy
-from ..mmu.tlb import TLB
+from ..mmu.tlb import PID_SHIFT as _PID_SHIFT
 from ..trace.record import RefKind
-
-# Block flag bits (level-1 blocks and R-cache tag entries).
-_F_VALID = 1
-_F_SWAPPED = 2
-_F_DIRTY = 4
-
-# Subentry flag bits.
-_S_VALID = 1
-_S_INCL = 2
-_S_BUF = 4
-_S_VDIRTY = 8
-_S_RDIRTY = 16
-_S_SHARED = 32
-
-_SHARED = ShareState.SHARED
-_PRIVATE = ShareState.PRIVATE
-
-#: TLB keys pack (pid, vpage) into one int; pids are far below 2**16.
-_PID_SHIFT = 48
-_VPAGE_MASK = (1 << _PID_SHIFT) - 1
 
 # Numeric reference-kind codes used by the vectorized classifier:
 # INSTR=0, READ=1, WRITE=2, CSWITCH=3, CALL=4 (assigned inline in the
@@ -81,9 +49,9 @@ _VPAGE_MASK = (1 << _PID_SHIFT) - 1
 # the per-CPU hit accumulators (matching l1_hits_i/_r/_w).
 _KIND_OBJS = (RefKind.INSTR, RefKind.READ, RefKind.WRITE)
 
-# The exact key objects the object engine mints (the f-strings in
+# The exact key objects the scalar path mints (the f-strings in
 # ``_L1_KEYS`` are not interned, and state digests compare pickles —
-# which memoize strings by identity — so both engines must count into
+# which memoize strings by identity — so the walker must count into
 # the *same* string objects, not merely equal ones).
 _HIT_KEYS = tuple(_L1_KEYS[kind, True] for kind in _KIND_OBJS)
 _MISS_KEYS = tuple(_L1_KEYS[kind, False] for kind in _KIND_OBJS)
@@ -91,866 +59,6 @@ _MISS_KEYS = tuple(_L1_KEYS[kind, False] for kind in _KIND_OBJS)
 #: References per classification chunk and records per conversion batch.
 _CHUNK = 8192
 _BATCH = 1 << 16
-
-
-# -- view classes --------------------------------------------------------------
-
-
-class SoABlock(CacheBlock):
-    """A level-1 tag entry viewed over the cache's flat arrays.
-
-    Every getter casts to plain ``int``/``bool`` so values escaping
-    into object-engine structures (replacement orders, checkpoints,
-    digests) never carry numpy scalar types.  Setters that change
-    classification inputs (tag and any flag bit) append the block's
-    flat index to the owning cache's dirty log, which the SoA replay
-    loop folds into its per-chunk taint sets.
-    """
-
-    __slots__ = ("_tg", "_fl", "_vr", "_ps", "_pw", "_pb", "_dl", "_g")
-
-    def __init__(
-        self,
-        set_index: int,
-        way: int,
-        tags: Any,
-        flags: Any,
-        versions: Any,
-        rp_set: Any,
-        rp_way: Any,
-        rp_sub: Any,
-        dirty_log: list,
-        g: int,
-    ) -> None:
-        self.set_index = set_index
-        self.way = way
-        self._tg = tags
-        self._fl = flags
-        self._vr = versions
-        self._ps = rp_set
-        self._pw = rp_way
-        self._pb = rp_sub
-        self._dl = dirty_log
-        self._g = g
-
-    @property
-    def valid(self) -> bool:
-        return bool(self._fl[self._g] & _F_VALID)
-
-    @valid.setter
-    def valid(self, value: bool) -> None:
-        g = self._g
-        if value:
-            self._fl[g] |= _F_VALID
-        else:
-            self._fl[g] &= 0xFF ^ _F_VALID
-        self._dl.append(g)
-
-    @property
-    def swapped_valid(self) -> bool:
-        return bool(self._fl[self._g] & _F_SWAPPED)
-
-    @swapped_valid.setter
-    def swapped_valid(self, value: bool) -> None:
-        g = self._g
-        if value:
-            self._fl[g] |= _F_SWAPPED
-        else:
-            self._fl[g] &= 0xFF ^ _F_SWAPPED
-        self._dl.append(g)
-
-    @property
-    def dirty(self) -> bool:
-        return bool(self._fl[self._g] & _F_DIRTY)
-
-    @dirty.setter
-    def dirty(self, value: bool) -> None:
-        g = self._g
-        if value:
-            self._fl[g] |= _F_DIRTY
-        else:
-            self._fl[g] &= 0xFF ^ _F_DIRTY
-        self._dl.append(g)
-
-    @property
-    def tag(self) -> int:
-        return self._tg[self._g]
-
-    @tag.setter
-    def tag(self, value: int) -> None:
-        g = self._g
-        self._tg[g] = value
-        self._dl.append(g)
-
-    @property
-    def version(self) -> int:
-        return self._vr[self._g]
-
-    @version.setter
-    def version(self, value: int) -> None:
-        self._vr[self._g] = value
-
-    @property
-    def r_pointer(self):
-        g = self._g
-        s = self._ps[g]
-        if s < 0:
-            # The power-on placeholder, matching CacheBlock.__init__.
-            return 0
-        return (s, self._pw[g], self._pb[g])
-
-    @r_pointer.setter
-    def r_pointer(self, value) -> None:
-        g = self._g
-        if isinstance(value, (tuple, list)):
-            self._ps[g] = value[0]
-            self._pw[g] = value[1]
-            self._pb[g] = value[2]
-        else:
-            self._ps[g] = -1
-
-
-class SoASub(SubEntry):
-    """One R-cache subentry viewed over the R-cache's flat arrays."""
-
-    __slots__ = ("_fl", "_vr", "_pc", "_ps", "_pw", "_g")
-
-    def __init__(
-        self,
-        sub_flags: Any,
-        sub_versions: Any,
-        vp_ci: Any,
-        vp_set: Any,
-        vp_way: Any,
-        g: int,
-    ) -> None:
-        self._fl = sub_flags
-        self._vr = sub_versions
-        self._pc = vp_ci
-        self._ps = vp_set
-        self._pw = vp_way
-        self._g = g
-
-    @property
-    def valid(self) -> bool:
-        return bool(self._fl[self._g] & _S_VALID)
-
-    @valid.setter
-    def valid(self, value: bool) -> None:
-        g = self._g
-        if value:
-            self._fl[g] |= _S_VALID
-        else:
-            self._fl[g] &= 0xFF ^ _S_VALID
-
-    @property
-    def inclusion(self) -> bool:
-        return bool(self._fl[self._g] & _S_INCL)
-
-    @inclusion.setter
-    def inclusion(self, value: bool) -> None:
-        g = self._g
-        if value:
-            self._fl[g] |= _S_INCL
-        else:
-            self._fl[g] &= 0xFF ^ _S_INCL
-
-    @property
-    def buffer(self) -> bool:
-        return bool(self._fl[self._g] & _S_BUF)
-
-    @buffer.setter
-    def buffer(self, value: bool) -> None:
-        g = self._g
-        if value:
-            self._fl[g] |= _S_BUF
-        else:
-            self._fl[g] &= 0xFF ^ _S_BUF
-
-    @property
-    def vdirty(self) -> bool:
-        return bool(self._fl[self._g] & _S_VDIRTY)
-
-    @vdirty.setter
-    def vdirty(self, value: bool) -> None:
-        g = self._g
-        if value:
-            self._fl[g] |= _S_VDIRTY
-        else:
-            self._fl[g] &= 0xFF ^ _S_VDIRTY
-
-    @property
-    def rdirty(self) -> bool:
-        return bool(self._fl[self._g] & _S_RDIRTY)
-
-    @rdirty.setter
-    def rdirty(self, value: bool) -> None:
-        g = self._g
-        if value:
-            self._fl[g] |= _S_RDIRTY
-        else:
-            self._fl[g] &= 0xFF ^ _S_RDIRTY
-
-    @property
-    def state(self) -> ShareState:
-        if self._fl[self._g] & _S_SHARED:
-            return _SHARED
-        return _PRIVATE
-
-    @state.setter
-    def state(self, value: ShareState) -> None:
-        g = self._g
-        if value is _SHARED:
-            self._fl[g] |= _S_SHARED
-        else:
-            self._fl[g] &= 0xFF ^ _S_SHARED
-
-    @property
-    def version(self) -> int:
-        return self._vr[self._g]
-
-    @version.setter
-    def version(self, value: int) -> None:
-        self._vr[self._g] = value
-
-    @property
-    def v_pointer(self):
-        g = self._g
-        ci = self._pc[g]
-        if ci < 0:
-            return None
-        return (ci, self._ps[g], self._pw[g])
-
-    @v_pointer.setter
-    def v_pointer(self, value) -> None:
-        g = self._g
-        if value is None:
-            self._pc[g] = -1
-        else:
-            self._pc[g] = value[0]
-            self._ps[g] = value[1]
-            self._pw[g] = value[2]
-
-
-class SoARBlock(RCacheBlock):
-    """An R-cache tag entry viewed over the R-cache's flat arrays.
-
-    R-cache state is never read by the vectorized classifier, so no
-    dirty log is kept here.  ``r_pointer`` stays a plain inherited
-    slot (R-cache entries never use it, but checkpoints export it).
-    """
-
-    __slots__ = ("_tg", "_fl", "_vr", "_g")
-
-    def __init__(
-        self,
-        set_index: int,
-        way: int,
-        tags: Any,
-        flags: Any,
-        versions: Any,
-        g: int,
-        subentries: list,
-    ) -> None:
-        self.set_index = set_index
-        self.way = way
-        self.r_pointer = 0
-        self._tg = tags
-        self._fl = flags
-        self._vr = versions
-        self._g = g
-        self.subentries = subentries
-
-    @property
-    def valid(self) -> bool:
-        return bool(self._fl[self._g] & _F_VALID)
-
-    @valid.setter
-    def valid(self, value: bool) -> None:
-        g = self._g
-        if value:
-            self._fl[g] |= _F_VALID
-        else:
-            self._fl[g] &= 0xFF ^ _F_VALID
-
-    @property
-    def swapped_valid(self) -> bool:
-        return bool(self._fl[self._g] & _F_SWAPPED)
-
-    @swapped_valid.setter
-    def swapped_valid(self, value: bool) -> None:
-        g = self._g
-        if value:
-            self._fl[g] |= _F_SWAPPED
-        else:
-            self._fl[g] &= 0xFF ^ _F_SWAPPED
-
-    @property
-    def dirty(self) -> bool:
-        return bool(self._fl[self._g] & _F_DIRTY)
-
-    @dirty.setter
-    def dirty(self, value: bool) -> None:
-        g = self._g
-        if value:
-            self._fl[g] |= _F_DIRTY
-        else:
-            self._fl[g] &= 0xFF ^ _F_DIRTY
-
-    @property
-    def tag(self) -> int:
-        return self._tg[self._g]
-
-    @tag.setter
-    def tag(self, value: int) -> None:
-        self._tg[self._g] = value
-
-    @property
-    def version(self) -> int:
-        return self._vr[self._g]
-
-    @version.setter
-    def version(self, value: int) -> None:
-        self._vr[self._g] = value
-
-
-class SoAWriteBufferEntry(WriteBufferEntry):
-    """A write-buffer slot viewed over the buffer's flat arrays.
-
-    Instances are created once per slot and live as long as the
-    buffer; pushing re-points the slot's data, so code holding a view
-    across a ``remove``/``pop_oldest`` of *another* entry stays
-    correct (the object engine's dataclass entries behave the same
-    way).  ``remove``/``pop_oldest`` return detached plain entries for
-    exactly that reason — see :class:`SoAWriteBuffer`.
-    """
-
-    __slots__ = ("_pb", "_vr", "_sw", "_i")
-
-    def __init__(self, pblocks: Any, versions: Any, swapped: Any, i: int) -> None:
-        self._pb = pblocks
-        self._vr = versions
-        self._sw = swapped
-        self._i = i
-
-    @property
-    def pblock(self) -> int:
-        return self._pb[self._i]
-
-    @pblock.setter
-    def pblock(self, value: int) -> None:
-        self._pb[self._i] = value
-
-    @property
-    def version(self) -> int:
-        return self._vr[self._i]
-
-    @version.setter
-    def version(self, value: int) -> None:
-        self._vr[self._i] = value
-
-    @property
-    def swapped(self) -> bool:
-        return bool(self._sw[self._i])
-
-    @swapped.setter
-    def swapped(self, value: bool) -> None:
-        self._sw[self._i] = 1 if value else 0
-
-    def __eq__(self, other: object) -> bool:
-        # The dataclass __eq__ requires an exact class match; entries
-        # must compare by value against plain WriteBufferEntry too.
-        if isinstance(other, WriteBufferEntry):
-            return (
-                self.pblock == other.pblock
-                and self.version == other.version
-                and self.swapped == other.swapped
-            )
-        return NotImplemented
-
-    __hash__ = None  # match the eq-without-hash dataclass behaviour
-
-
-# -- array-backed components ---------------------------------------------------
-
-
-class SoATagStore(TagStore):
-    """A tag store whose blocks are views over flat arrays.
-
-    :func:`run_soa`'s native miss handlers fill blocks by writing the
-    arrays directly, without building the set's views, so here a set
-    can hold data without having been built.  The live sets are the
-    built sets plus every set whose arrays differ from their power-on
-    values, found in one vectorized pass over *planes* — one
-    ``(buffer, dtype, power-on value)`` triple per array, each laid
-    out set-major.
-    """
-
-    __slots__ = ("_planes",)
-
-    def __init__(
-        self,
-        config: CacheConfig,
-        block_factory: BlockFactory,
-        replacement: str,
-        seed: int,
-        planes: tuple,
-    ) -> None:
-        super().__init__(
-            config, block_factory=block_factory, replacement=replacement, seed=seed
-        )
-        self._planes = planes
-
-    def find(self, addr: int, include_swapped: bool = False) -> CacheBlock | None:
-        # Unlike the object store, an unbuilt set may hold data the
-        # native handlers wrote, so the lookup builds the set's views.
-        block_number = addr >> self._block_bits
-        tag = block_number >> self._set_bits
-        for block in self._sets[block_number & self._set_mask]:
-            if block.tag == tag and (
-                block.valid or (include_swapped and block.swapped_valid)
-            ):
-                return block
-        return None
-
-    def live_sets(self) -> list[int]:
-        n_sets = self.config.n_sets
-        live = np.zeros(n_sets, dtype=bool)
-        for buffer, dtype, power_on in self._planes:
-            plane = np.frombuffer(buffer, dtype=dtype).reshape(n_sets, -1)
-            live |= (plane != power_on).any(axis=1)
-        live[np.fromiter(self._sets, dtype=np.intp, count=len(self._sets))] = True
-        return np.flatnonzero(live).tolist()
-
-
-class SoAL1Cache(L1Cache):
-    """A level-1 cache whose tag store is backed by flat arrays."""
-
-    __slots__ = (
-        "tags",
-        "flags",
-        "versions",
-        "rp_set",
-        "rp_way",
-        "rp_sub",
-        "dirty_log",
-    )
-
-    def __init__(
-        self,
-        config: CacheConfig,
-        index: int = 0,
-        name: str = "L1",
-        replacement: str = "lru",
-        seed: int = 0,
-    ) -> None:
-        n = config.n_sets * config.associativity
-        self.config = config
-        self.index = index
-        self.name = name
-        self.tags = array("q", bytes(8 * n))
-        self.flags = bytearray(n)
-        self.versions = array("q", bytes(8 * n))
-        self.rp_set = array("q", [-1]) * n
-        self.rp_way = array("q", bytes(8 * n))
-        self.rp_sub = array("q", bytes(8 * n))
-        self.dirty_log: list[int] = []
-        assoc = config.associativity
-        tags = self.tags
-        flags = self.flags
-        versions = self.versions
-        rp_s = self.rp_set
-        rp_w = self.rp_way
-        rp_b = self.rp_sub
-        log = self.dirty_log
-
-        def factory(s: int, w: int) -> SoABlock:
-            return SoABlock(
-                s, w, tags, flags, versions, rp_s, rp_w, rp_b, log, s * assoc + w
-            )
-
-        self.store = SoATagStore(
-            config,
-            factory,
-            replacement,
-            seed,
-            planes=(
-                (tags, np.int64, 0),
-                (flags, np.uint8, 0),
-                (versions, np.int64, 0),
-                (rp_s, np.int64, -1),
-                (rp_w, np.int64, 0),
-                (rp_b, np.int64, 0),
-            ),
-        )
-        self.access = self.store.access
-
-
-class SoARCache(RCache):
-    """An R-cache whose tag entries and subentries live in flat arrays."""
-
-    __slots__ = (
-        "tags",
-        "flags",
-        "versions",
-        "sub_flags",
-        "sub_versions",
-        "vp_ci",
-        "vp_set",
-        "vp_way",
-    )
-
-    def __init__(
-        self,
-        config: CacheConfig,
-        n_subentries: int,
-        replacement: str = "lru",
-        seed: int = 0,
-    ) -> None:
-        n = config.n_sets * config.associativity
-        m = n * n_subentries
-        self.config = config
-        self.n_subentries = n_subentries
-        self.tags = array("q", bytes(8 * n))
-        self.flags = bytearray(n)
-        self.versions = array("q", bytes(8 * n))
-        self.sub_flags = bytearray(m)
-        self.sub_versions = array("q", bytes(8 * m))
-        self.vp_ci = array("q", [-1]) * m
-        self.vp_set = array("q", bytes(8 * m))
-        self.vp_way = array("q", bytes(8 * m))
-        assoc = config.associativity
-        tags = self.tags
-        flags = self.flags
-        versions = self.versions
-        sub_flags = self.sub_flags
-        sub_versions = self.sub_versions
-        vp_ci = self.vp_ci
-        vp_set = self.vp_set
-        vp_way = self.vp_way
-
-        def factory(s: int, w: int) -> SoARBlock:
-            g = s * assoc + w
-            base = g * n_subentries
-            subs = [
-                SoASub(sub_flags, sub_versions, vp_ci, vp_set, vp_way, base + j)
-                for j in range(n_subentries)
-            ]
-            return SoARBlock(s, w, tags, flags, versions, g, subs)
-
-        self.store = SoATagStore(
-            config,
-            factory,
-            replacement,
-            seed,
-            planes=(
-                (tags, np.int64, 0),
-                (flags, np.uint8, 0),
-                (versions, np.int64, 0),
-                (sub_flags, np.uint8, 0),
-                (sub_versions, np.int64, 0),
-                (vp_ci, np.int64, -1),
-                (vp_set, np.int64, 0),
-                (vp_way, np.int64, 0),
-            ),
-        )
-        self.sub_block_size = config.block_size // n_subentries
-        self._sub_bits = self.sub_block_size.bit_length() - 1
-
-
-class SoATLB(TLB):
-    """Array-backed TLB with timestamp LRU.
-
-    Replacement is exactly equivalent to the object TLB's per-set
-    ``OrderedDict``: a hit refreshes the entry's timestamp, a miss
-    that finds the set full evicts the entry with the smallest
-    timestamp (least recently used or inserted).  Resident entries
-    never move between slots, which is what lets the replay loop cache
-    a (key → slot) classification across a chunk; evictions are
-    appended to :attr:`evict_log` so the loop can tell when that
-    classification may have gone stale.
-    """
-
-    __slots__ = (
-        "pids",
-        "vpages",
-        "frames",
-        "ts",
-        "valid",
-        "evict_log",
-        "_tick",
-        "_map",
-        "_frames_py",
-    )
-
-    def __init__(
-        self,
-        layout: Any,
-        n_entries: int = 64,
-        associativity: int = 4,
-    ) -> None:
-        super().__init__(layout, n_entries, associativity)
-        self.pids = array("q", bytes(8 * n_entries))
-        self.vpages = array("q", bytes(8 * n_entries))
-        self.frames = array("q", bytes(8 * n_entries))
-        self.ts = array("q", bytes(8 * n_entries))
-        self.valid = bytearray(n_entries)
-        self.evict_log: list[int] = []
-        self._tick = 0
-        self._map: dict[int, int] = {}
-        # Frames as plain ints for scalar reads (promotions, export).
-        self._frames_py: list[int] = [0] * n_entries
-
-    def translate(self, pid: int, vaddr: int) -> int:
-        page_size = self.layout.page_size
-        shift = self._page_shift
-        if shift is not None:
-            vpage = vaddr >> shift
-            offset = vaddr & self._page_mask
-        else:
-            vpage, offset = divmod(vaddr, page_size)
-        key = (pid << _PID_SHIFT) | vpage
-        slot = self._map.get(key, -1)
-        if slot >= 0:
-            self.ts[slot] = self._tick
-            self._tick += 1
-            self._counts["hits"] += 1
-            frame = self._frames_py[slot]
-        else:
-            self._counts["misses"] += 1
-            frame = self.layout.translate(pid, vpage * page_size) // page_size
-            base = (vpage % self.n_sets) * self.associativity
-            valid = self.valid
-            ts = self.ts
-            free = -1
-            count = 0
-            oldest = -1
-            oldest_ts = 0
-            for w in range(self.associativity):
-                s = base + w
-                if valid[s]:
-                    count += 1
-                    t = ts[s]
-                    if oldest < 0 or t < oldest_ts:
-                        oldest = s
-                        oldest_ts = t
-                elif free < 0:
-                    free = s
-            if count >= self.associativity:
-                ev_key = (self.pids[oldest] << _PID_SHIFT) | self.vpages[oldest]
-                del self._map[ev_key]
-                valid[oldest] = 0
-                self.evict_log.append(oldest)
-                self._counts["evictions"] += 1
-                free = oldest
-            self.pids[free] = pid
-            self.vpages[free] = vpage
-            self.frames[free] = frame
-            self._frames_py[free] = frame
-            valid[free] = 1
-            ts[free] = self._tick
-            self._tick += 1
-            self._map[key] = free
-        if shift is not None:
-            return (frame << shift) | offset
-        return frame * page_size + offset
-
-    def flush(self) -> None:
-        # Mirror the object TLB exactly: one "flushed_entries" add per
-        # set, including zero-valued adds for empty sets (those mint
-        # the counter key, which state digests can see).
-        per_set = [0] * self.n_sets
-        for key, slot in self._map.items():
-            per_set[(key & _VPAGE_MASK) % self.n_sets] += 1
-            self.valid[slot] = 0
-            self.evict_log.append(slot)
-        self._map.clear()
-        for count in per_set:
-            self.stats.add("flushed_entries", count)
-        self.stats.add("flushes")
-
-    def flush_pid(self, pid: int) -> None:
-        per_set: list[list[int]] = [[] for _ in range(self.n_sets)]
-        for key, slot in self._map.items():
-            if (key >> _PID_SHIFT) == pid:
-                per_set[(key & _VPAGE_MASK) % self.n_sets].append(key)
-        for bucket in per_set:
-            for key in bucket:
-                slot = self._map.pop(key)
-                self.valid[slot] = 0
-                self.evict_log.append(slot)
-            self.stats.add("flushed_entries", len(bucket))
-        self.stats.add("selective_flushes")
-
-    def resident(self) -> list[tuple[int, int]]:
-        return sorted(
-            (key >> _PID_SHIFT, key & _VPAGE_MASK) for key in self._map
-        )
-
-    def entries(self) -> list[tuple[int, int, int]]:
-        return sorted(
-            (key >> _PID_SHIFT, key & _VPAGE_MASK, self._frames_py[slot])
-            for key, slot in self._map.items()
-        )
-
-    def poison(self, pid: int, vpage: int, frame: int) -> bool:
-        slot = self._map.get((pid << _PID_SHIFT) | vpage, -1)
-        if slot < 0:
-            return False
-        self.frames[slot] = frame
-        self._frames_py[slot] = frame
-        return True
-
-    def scrub(self, pid: int, vpage: int) -> bool:
-        slot = self._map.pop((pid << _PID_SHIFT) | vpage, -1)
-        if slot < 0:
-            return False
-        self.valid[slot] = 0
-        self.evict_log.append(slot)
-        self.stats.add("scrubbed_entries")
-        return True
-
-    def export_state(self) -> dict:
-        # Same shape as the object TLB's snapshot: per set, entries in
-        # LRU order (oldest first), as ((pid, vpage), frame) pairs.
-        sets: list[list] = []
-        for set_index in range(self.n_sets):
-            items = [
-                (int(self.ts[slot]), key, slot)
-                for key, slot in self._map.items()
-                if (key & _VPAGE_MASK) % self.n_sets == set_index
-            ]
-            items.sort()
-            sets.append(
-                [
-                    ((key >> _PID_SHIFT, key & _VPAGE_MASK), self._frames_py[slot])
-                    for _, key, slot in items
-                ]
-            )
-        return {"sets": sets, "stats": self.stats.export_state()}
-
-    def restore_state(self, state: dict) -> None:
-        self._map.clear()
-        # In-place wipes: numpy classification views share these buffers.
-        self.valid[:] = bytes(len(self.valid))
-        self.ts[:] = array("q", bytes(8 * len(self.ts)))
-        self._tick = 0
-        del self.evict_log[:]
-        for set_index, entries in enumerate(state["sets"]):
-            base = set_index * self.associativity
-            for w, (key, frame) in enumerate(entries):
-                pid, vpage = key
-                slot = base + w
-                self.pids[slot] = pid
-                self.vpages[slot] = vpage
-                self.frames[slot] = frame
-                self._frames_py[slot] = int(frame)
-                self.valid[slot] = 1
-                self.ts[slot] = self._tick
-                self._tick += 1
-                self._map[(int(pid) << _PID_SHIFT) | int(vpage)] = slot
-        self.stats.restore_state(state["stats"])
-
-
-class SoAWriteBuffer(WriteBuffer):
-    """Write buffer whose slots are flat arrays.
-
-    The FIFO order still lives in the inherited ``_entries`` deque
-    (the hierarchy aliases it directly), but the deque holds long-lived
-    per-slot views.  ``pop_oldest``/``remove`` return *detached* plain
-    entries: the protocol code reads fields from a removed entry after
-    subsequent pushes may have recycled its slot.
-    """
-
-    __slots__ = ("pblocks", "versions", "swapped", "used", "_views")
-
-    def __init__(self, capacity: int = 1) -> None:
-        super().__init__(capacity)
-        self.pblocks = array("q", bytes(8 * capacity))
-        self.versions = array("q", bytes(8 * capacity))
-        self.swapped = bytearray(capacity)
-        self.used = bytearray(capacity)
-        self._views = [
-            SoAWriteBufferEntry(self.pblocks, self.versions, self.swapped, i)
-            for i in range(capacity)
-        ]
-
-    def push(self, entry: WriteBufferEntry) -> None:
-        if self.full:
-            raise RuntimeError("write buffer overflow: drain before pushing")
-        used = self.used
-        i = 0
-        while used[i]:
-            i += 1
-        self.pblocks[i] = entry.pblock
-        self.versions[i] = entry.version
-        self.swapped[i] = 1 if entry.swapped else 0
-        used[i] = 1
-        self._entries.append(self._views[i])
-        self.stats.add("pushes")
-        if entry.swapped:
-            self.stats.add("swapped_pushes")
-
-    def pop_oldest(self) -> WriteBufferEntry:
-        view = self._entries.popleft()
-        self.stats.add("retires")
-        out = WriteBufferEntry(view.pblock, view.version, view.swapped)
-        self.used[view._i] = 0
-        return out
-
-    def remove(self, pblock: int) -> WriteBufferEntry | None:
-        for i, view in enumerate(self._entries):
-            if view.pblock == pblock:
-                del self._entries[i]
-                self.stats.add("removals")
-                out = WriteBufferEntry(view.pblock, view.version, view.swapped)
-                self.used[view._i] = 0
-                return out
-        return None
-
-    def restore_state(self, state: dict) -> None:
-        self._entries.clear()
-        self.used[:] = bytes(len(self.used))
-        for i, (pblock, version, swapped) in enumerate(state["entries"]):
-            self.pblocks[i] = pblock
-            self.versions[i] = version
-            self.swapped[i] = 1 if swapped else 0
-            self.used[i] = 1
-            self._entries.append(self._views[i])
-        self.stats.restore_state(state["stats"])
-
-
-# -- the hierarchy -------------------------------------------------------------
-
-
-class SoAHierarchy(TwoLevelHierarchy):
-    """A :class:`TwoLevelHierarchy` with array-backed components.
-
-    The parent's constructor builds the SoA TLB, level-1 caches,
-    R-cache and write buffer through the component types below.
-    Because they subclass the originals and present identical
-    interfaces, every scalar protocol method — and the checker,
-    checkpointer and model checker with them — runs unchanged; only
-    :func:`run_soa` exploits the arrays.
-    """
-
-    __slots__ = ()
-
-    tlb_type = SoATLB
-    l1_type = SoAL1Cache
-    rcache_type = SoARCache
-    write_buffer_type = SoAWriteBuffer
-
-    def clear_change_logs(self) -> None:
-        """Drop accumulated dirty/eviction logs.
-
-        The logs only carry information while :func:`run_soa` is
-        consuming them; long object-path runs (guarded replay, model
-        checking) would otherwise grow them without bound.
-        """
-        for l1 in self._l1s:
-            del l1.dirty_log[:]
-        del self.tlb.evict_log[:]
 
 
 # -- the fast replay loop ------------------------------------------------------
@@ -964,9 +72,10 @@ def _walk_chunk(
     tg_l,
     w_l,
     ts_l,
-    tkey_l,
+    vp_l,
     off_l,
     cpu_l,
+    pid_l,
     kc_l,
     refs_l,
     cnt_l,
@@ -1052,14 +161,16 @@ def _walk_chunk(
                 esc(j)
                 continue
             if rr:
+                # TLB keys are built here, from Python ints: packed in
+                # int64 vectors they would wrap for pids >= 2**15.
                 if evls[c]:
-                    slot = tmget[c](tkey_l[i], -1)
+                    slot = tmget[c]((pid_l[j] << _PID_SHIFT) | vp_l[i], -1)
                 elif code:
                     slot = ts_l[i]
                 else:
                     slot = ts_l[i]
                     if slot < 0:
-                        slot = tmget[c](tkey_l[i], -1)
+                        slot = tmget[c]((pid_l[j] << _PID_SHIFT) | vp_l[i], -1)
                 if slot < 0:
                     if fms is None or not fms[c](j, k):
                         esc(j)
@@ -1123,16 +234,13 @@ def _walk_chunk(
 
 
 def run_soa(machine: Any, records: Any) -> int:
-    """Replay *records* through a machine of :class:`SoAHierarchy`.
+    """Replay *records* through *machine*'s hierarchies.
 
     Returns the number of memory references processed (CSWITCH/CALL
     records excluded), exactly like ``Multiprocessor._run_fast``.
     """
     hiers = machine.hierarchies
     n_cpus = len(hiers)
-    for h in hiers:
-        if not isinstance(h, SoAHierarchy):
-            raise TypeError("run_soa requires SoAHierarchy instances")
     vc = machine.version_counter
     h0 = hiers[0]
     rr = not h0._virtual_l1
@@ -1149,6 +257,9 @@ def run_soa(machine: Any, records: Any) -> int:
     bbits = cfg.block_bits
     sbits = cfg.set_bits
     smask = cfg.set_mask
+    # Pid-tagged level-1 tags are (vaddr >> tb) | (pid << (48 - tb)).
+    pid_tag_shift = _PID_SHIFT - bbits - sbits
+    pid_tag_limit = 1 << (63 - pid_tag_shift)
     tlb0 = h0.tlb
     psize = tlb0.layout.page_size
     pshift = tlb0._page_shift if tlb0._page_shift is not None else -1
@@ -1171,16 +282,17 @@ def run_soa(machine: Any, records: Any) -> int:
     tsets: list[set[int]] = []
     for h in hiers:
         for l1 in h._l1s:
-            tags_a.append(l1.tags)
-            flags_a.append(l1.flags)
-            vers_a.append(l1.versions)
-            rps_a.append(l1.rp_set)
-            rpw_a.append(l1.rp_way)
-            rpb_a.append(l1.rp_sub)
-            dls.append(l1.dirty_log)
-            pols.append(l1.store.policy.on_access)
-            insts.append(l1.store.policy.on_install)
-            chs.append(l1.store.policy.choose)
+            store = l1.store
+            tags_a.append(store.tags)
+            flags_a.append(store.flags)
+            vers_a.append(store.versions)
+            rps_a.append(store.rp_set)
+            rpw_a.append(store.rp_way)
+            rpb_a.append(store.rp_sub)
+            dls.append(store.dirty_log)
+            pols.append(store.policy.on_access)
+            insts.append(store.policy.on_install)
+            chs.append(store.policy.choose)
             tsets.append(set())
     n_groups = len(tags_a)
     # Zero-copy numpy views over the scalar buffers, for the vectorized
@@ -1260,7 +372,7 @@ def run_soa(machine: Any, records: Any) -> int:
 
     drains = [_mk_drain(c, h) for c, h in enumerate(hiers)]
 
-    # Native scalar miss handlers.  The object protocol path costs
+    # Native scalar miss handlers.  The scalar protocol path costs
     # tens of microseconds per escape (view properties, AccessResult
     # allocation, enum dispatch); the three dominant miss shapes — a
     # clean write hit on a private block, a level-2 hit filling level
@@ -1296,8 +408,8 @@ def run_soa(machine: Any, records: Any) -> int:
         ttr = t.translate
         lay_tr = t.layout.translate
         rc = h.rcache
-        rtg = rc.tags
-        rfl = rc.flags
+        rtg = rc.store.tags
+        rfl = rc.store.flags
         sfl = rc.sub_flags
         svr = rc.sub_versions
         vpc = rc.vp_ci
@@ -1331,11 +443,6 @@ def run_soa(machine: Any, records: Any) -> int:
         gts = tsets[base_g : base_g + n_l1]
         counts_c = counts_l[c]
         wb = h.write_buffer
-        wpb = wb.pblocks
-        wvr = wb.versions
-        wsw = wb.swapped
-        wused = wb.used
-        wviews = wb._views
         wdeq = wbs[c]
         wcap = wb.capacity
         wb_counts = wb.stats._counts
@@ -1347,7 +454,7 @@ def run_soa(machine: Any, records: Any) -> int:
         mv = mem._versions
         mvget = mv.get
         peer_rs = [
-            (p.rcache.tags, p.rcache.flags)
+            (p.rcache.store.tags, p.rcache.store.flags)
             for pi, p in enumerate(hiers)
             if pi != c
         ]
@@ -1357,12 +464,10 @@ def run_soa(machine: Any, records: Any) -> int:
             # ``TwoLevelHierarchy._drain_one`` over the arrays.  Only
             # reachable with inclusion held (the native gate), so the
             # no-parent case is the same protocol error it is there.
-            vw = wdeq.popleft()
-            ii = vw._i
+            entry = wdeq.popleft()
             wb_counts["retires"] += 1
-            pb = wpb[ii]
-            ver = wvr[ii]
-            wused[ii] = 0
+            pb = entry.pblock
+            ver = entry.version
             bn2 = (pb << sub_bits) >> bbits2
             rb = (bn2 & smask2) * assoc2
             tg2 = bn2 >> sbits2
@@ -1585,12 +690,11 @@ def run_soa(machine: Any, records: Any) -> int:
                                 di = 0
                                 nd = len(wdeq)
                                 while di < nd:
-                                    ii = wdeq[di]._i
-                                    if wpb[ii] == pb2:
+                                    entry = wdeq[di]
+                                    if entry.pblock == pb2:
                                         del wdeq[di]
                                         wb_counts["removals"] += 1
-                                        entv = wvr[ii]
-                                        wused[ii] = 0
+                                        entv = entry.version
                                         break
                                     di += 1
                                 if entv < 0:
@@ -1685,15 +789,8 @@ def run_soa(machine: Any, records: Any) -> int:
                     if len(wdeq) >= wcap:
                         counts_c["writeback_stalls"] += 1
                         drain_n()
-                    ii = 0
-                    while wused[ii]:
-                        ii += 1
-                    wpb[ii] = vpb
-                    wvr[ii] = gvr[lv][vg]
-                    swp = 1 if (f & 2) else 0
-                    wsw[ii] = swp
-                    wused[ii] = 1
-                    wdeq.append(wviews[ii])
+                    swp = (f & 2) != 0
+                    wdeq.append(WriteBufferEntry(vpb, gvr[lv][vg], swp))
                     wb_counts["pushes"] += 1
                     counts_c["writebacks"] += 1
                     if swp:
@@ -1745,7 +842,7 @@ def run_soa(machine: Any, records: Any) -> int:
 
     def _flush_counters() -> None:
         # Deferred hit counters; only nonzero deltas are applied so
-        # the engines mint exactly the same counter keys.
+        # the walker mints exactly the scalar path's counter keys.
         for c in range(n_cpus):
             counts = counts_l[c]
             base = c * 3
@@ -1772,7 +869,7 @@ def run_soa(machine: Any, records: Any) -> int:
         wy = np.zeros(m, dtype=np.int64)
         if rr:
             tsl = np.full(m, -1, dtype=np.int64)
-            tkey = np.zeros(m, dtype=np.int64)
+            vp = np.zeros(m, dtype=np.int64)
             off = np.zeros(m, dtype=np.int64)
         mem = ka < 3
         for c in range(n_cpus):
@@ -1808,15 +905,27 @@ def run_soa(machine: Any, records: Any) -> int:
                     key = (tfr << pshift) | o
                 else:
                     key = tfr * psize + o
-                tkey[idx] = (p << _PID_SHIFT) | vpage
+                vp[idx] = vpage
                 off[idx] = o
                 tsl[idx] = tsl_c
+                bn = key >> bbits
+                t = bn >> sbits
+            elif pid_tags:
+                # The scalar key is ``vaddr | (pid << 48)``, which wraps
+                # in int64 once pid >= 2**15.  Slice it without forming
+                # it: the pid sits above the index bits, and shifts
+                # distribute over the or.  A pid whose tag does not fit
+                # in int64 is left to the scalar path.
+                thit = p < pid_tag_limit
+                bn = v >> bbits
+                t = np.where(
+                    thit, (bn >> sbits) | (np.where(thit, p, 0) << pid_tag_shift), -1
+                )
             else:
-                key = (v | (p << _PID_SHIFT)) if pid_tags else v
                 thit = None
-            bn = key >> bbits
+                bn = v >> bbits
+                t = bn >> sbits
             st = bn & smask
-            t = bn >> sbits
             sbase = st * assoc
             sb[idx] = sbase
             tg[idx] = t
@@ -1860,7 +969,7 @@ def run_soa(machine: Any, records: Any) -> int:
                 tg.tolist(),
                 wy.tolist(),
                 tsl.tolist(),
-                tkey.tolist(),
+                vp.tolist(),
                 off.tolist(),
             )
         empty: list[int] = []
@@ -1881,7 +990,7 @@ def run_soa(machine: Any, records: Any) -> int:
 
     def _batch_source():
         # Chunked streams (repro.trace.stream) already carry each
-        # batch in this engine's own vector layout — same int64
+        # batch in the walker's own vector layout — same int64
         # dtype, same 0-4 kind codes — so their arrays feed the
         # classifier directly and no TraceRecord is ever built.
         chunks = getattr(records, "chunks", None)
@@ -1945,7 +1054,7 @@ def run_soa(machine: Any, records: Any) -> int:
             end = pos + _CHUNK
             if end > count:
                 end = count
-            code_l, sb_l, tg_l, w_l, ts_l, tkey_l, off_l = _classify(pos, end)
+            code_l, sb_l, tg_l, w_l, ts_l, vp_l, off_l = _classify(pos, end)
             for tset in tsets:
                 tset.clear()
             for log in evls:
@@ -1958,9 +1067,10 @@ def run_soa(machine: Any, records: Any) -> int:
                 tg_l,
                 w_l,
                 ts_l,
-                tkey_l,
+                vp_l,
                 off_l,
                 cpu_l,
+                pid_l,
                 kc_l,
                 refs_l,
                 cnt_l,

@@ -104,9 +104,6 @@ class RunOptions:
         checkpoint_every: trace records replayed between checkpoints.
         cache_dir: root of the persistent result cache; None disables
             disk caching (the in-process memo still applies).
-        engine: replay core — "soa" (the struct-of-arrays core,
-            DESIGN §13; the default) or "object" (the reference
-            hierarchy the equivalence checks compare it against).
         stream: replay synthetic traces through the bounded-chunk
             stream layer (DESIGN §14) instead of materialising them.
         trace_provenance: ``(format, version, digest)`` of an external
@@ -122,7 +119,6 @@ class RunOptions:
     checkpoint_dir: str | None = None
     checkpoint_every: int = 50_000
     cache_dir: str | None = None
-    engine: str = "soa"
     stream: bool = False
     trace_provenance: tuple | None = None
 
@@ -141,14 +137,9 @@ class RunOptions:
             self.fault_seed,
             self.checkpoint_dir is not None,
             self.checkpoint_every,
-            # The engines are bit-identical by construction, but keyed
-            # apart so a cached object-engine result can never mask an
-            # SoA regression (the differential harness depends on both
-            # actually running).
-            self.engine,
-            # Same reasoning for streamed replay: provably identical
-            # to in-memory replay, but keyed apart so the streaming
-            # equivalence checks always exercise the stream path.
+            # Streamed replay is provably identical to in-memory
+            # replay, but keyed apart so the streaming equivalence
+            # checks always exercise the stream path.
             self.stream,
             self.trace_provenance,
         )
@@ -412,9 +403,7 @@ def simulate(
         guard = InvariantGuard(options.guard_policy, options.check_every)
 
     build_started = perf_counter()
-    machine = Multiprocessor(
-        layout, n_cpus, config, seed=seed, bus=bus, engine=options.engine
-    )
+    machine = Multiprocessor(layout, n_cpus, config, seed=seed, bus=bus)
     build_s = perf_counter() - build_started
     if options.checkpoint_dir is not None:
         os.makedirs(options.checkpoint_dir, exist_ok=True)

@@ -119,15 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="profile the run and print the hottest functions",
     )
-    runner.add_argument(
-        "--engine",
-        choices=["object", "soa"],
-        default="soa",
-        help=(
-            "replay core: the struct-of-arrays core or the reference "
-            "object hierarchy (default: soa)"
-        ),
-    )
     guard = parser.add_argument_group("robustness")
     guard.add_argument(
         "--check-every",
@@ -492,7 +483,6 @@ def main(argv: list[str] | None = None) -> int:
         checkpoint_dir=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         cache_dir=cache_dir,
-        engine=args.engine,
     )
     supervisor = _supervisor_config(args, cache_dir)
     if args.resume and supervisor.journal_path is None:

@@ -27,6 +27,7 @@ from typing import Any
 
 from ..cache.block import CacheBlock
 from ..cache.tagstore import TagStore
+from ..coherence.protocol import ShareState
 from ..common.errors import CheckpointError
 from ..hierarchy.rcache import RCacheBlock, SubEntry
 from ..hierarchy.twolevel import TwoLevelHierarchy
@@ -106,6 +107,12 @@ def _restore_sub(sub: SubEntry, state: tuple) -> None:
     ) = state
 
 
+#: What :func:`_export_block` and :func:`_export_sub` give for a
+#: power-on block and subentry.
+_POWER_ON_BLOCK = (False, False, False, 0, 0, 0)
+_POWER_ON_SUB = (False, False, False, ShareState.PRIVATE, False, False, None, 0)
+
+
 def _export_entry(block: CacheBlock) -> dict[str, Any]:
     entry: dict[str, Any] = {"block": _export_block(block)}
     if isinstance(block, RCacheBlock):
@@ -113,15 +120,24 @@ def _export_entry(block: CacheBlock) -> dict[str, Any]:
     return entry
 
 
-def _export_store(store: TagStore, blank: CacheBlock) -> dict:
+def _power_on_entries(store: TagStore, n_subentries: int | None) -> list:
+    """One power-on entry per way, one shared object (level-2 stores
+    pass their subentries per block)."""
+    entry: dict[str, Any] = {"block": _POWER_ON_BLOCK}
+    if n_subentries is not None:
+        entry["subentries"] = [_POWER_ON_SUB] * n_subentries
+    return [entry] * store.config.associativity
+
+
+def _export_store(store: TagStore, n_subentries: int | None = None) -> dict:
     """One entry per set and way, in index order.
 
     A set that is not live holds power-on blocks only, so each of its
-    ways gets the export of *blank* (a power-on block of the store's
-    kind), one shared entry object, and no set is built to export it.
+    ways gets the power-on export, one shared entry object, and no set
+    is built to export it.
     """
     n_sets = store.config.n_sets
-    power_on = [_export_entry(blank)] * store.config.associativity
+    power_on = _power_on_entries(store, n_subentries)
     blocks: list[dict[str, Any]] = []
     next_set = 0
     for set_index in store.live_sets():
@@ -132,7 +148,9 @@ def _export_store(store: TagStore, blank: CacheBlock) -> dict:
     return {"blocks": blocks, "policy": store.policy.export_state()}
 
 
-def _restore_store(store: TagStore, state: dict, blank: CacheBlock) -> None:
+def _restore_store(
+    store: TagStore, state: dict, n_subentries: int | None = None
+) -> None:
     """Inverse of :func:`_export_store`.
 
     A set that is not live and whose saved entries are all power-on is
@@ -140,7 +158,7 @@ def _restore_store(store: TagStore, state: dict, blank: CacheBlock) -> None:
     """
     live = frozenset(store.live_sets())
     assoc = store.config.associativity
-    power_on = [_export_entry(blank)] * assoc
+    power_on = _power_on_entries(store, n_subentries)
     entries = state["blocks"]
     for set_index in range(store.config.n_sets):
         saved = entries[set_index * assoc : (set_index + 1) * assoc]
@@ -165,10 +183,8 @@ def export_hierarchy(hier: TwoLevelHierarchy) -> dict:
         "writeback_intervals": hier.stats.writeback_intervals.export_state(),
         "tlb": hier.tlb.export_state(),
         "write_buffer": hier.write_buffer.export_state(),
-        "l1s": [_export_store(l1.store, CacheBlock(0, 0)) for l1 in hier.l1_caches],
-        "l2": _export_store(
-            hier.rcache.store, RCacheBlock(0, 0, hier.rcache.n_subentries)
-        ),
+        "l1s": [_export_store(l1.store) for l1 in hier.l1_caches],
+        "l2": _export_store(hier.rcache.store, hier.rcache.n_subentries),
     }
 
 
@@ -191,10 +207,8 @@ def restore_hierarchy(hier: TwoLevelHierarchy, state: dict) -> None:
     hier.tlb.restore_state(state["tlb"])
     hier.write_buffer.restore_state(state["write_buffer"])
     for l1, l1_state in zip(hier.l1_caches, state["l1s"]):
-        _restore_store(l1.store, l1_state, CacheBlock(0, 0))
-    _restore_store(
-        hier.rcache.store, state["l2"], RCacheBlock(0, 0, hier.rcache.n_subentries)
-    )
+        _restore_store(l1.store, l1_state)
+    _restore_store(hier.rcache.store, state["l2"], hier.rcache.n_subentries)
 
 
 def export_machine(

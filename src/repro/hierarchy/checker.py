@@ -25,10 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..common.errors import InclusionError, ProtocolError, TranslationError
 from .config import HierarchyKind
 from .l1 import L1Cache
-from .rcache import RCacheBlock
+from .rcache import S_BUF, S_INCL, S_VALID, S_VDIRTY, RCacheBlock
 from .twolevel import TwoLevelHierarchy
 
 
@@ -88,8 +90,18 @@ def scan_l2_set(hier: TwoLevelHierarchy, set_index: int) -> list[Violation]:
     """
     if hier.kind is HierarchyKind.RR_NO_INCLUSION:
         return []
+    # Every violation below needs an inclusion or a vdirty bit, so a
+    # set without either is clean, and its views are not built.
+    rcache = hier.rcache
+    width = rcache.config.associativity * rcache.n_subentries
+    start = set_index * width
+    if not any(
+        flags & (S_INCL | S_VDIRTY)
+        for flags in rcache.sub_flags[start : start + width]
+    ):
+        return []
     out: list[Violation] = []
-    for rblock in hier.rcache.store.ways(set_index):
+    for rblock in rcache.store.ways(set_index):
         for index, sub in enumerate(rblock.subentries):  # type: ignore[attr-defined]
             site = ("l2", set_index, rblock.way, index)
             if not sub.inclusion:
@@ -199,18 +211,21 @@ def scan_l1_set(
 def scan_buffer_bits(hier: TwoLevelHierarchy) -> list[Violation]:
     """Buffer bits and write-buffer entries must correspond one-to-one.
 
-    Global rather than per-set: the write buffer holds a handful of
-    entries at most, and only live level-2 sets are walked, so this is
-    cheap enough for every guard check.
+    Global rather than per-set, but one vectorized pass over the
+    subentry flag array finds the flagged subentries, so this is cheap
+    enough for every guard check.
     """
     if hier.kind is HierarchyKind.RR_NO_INCLUSION:
         return []
-    flagged = {
-        hier.rcache.pblock_of(rblock, index)
-        for rblock in hier.rcache.blocks()
-        for index, sub in enumerate(rblock.subentries)
-        if sub.valid and sub.buffer
-    }
+    rcache = hier.rcache
+    sub_flags = np.frombuffer(rcache.sub_flags, dtype=np.uint8)
+    wanted = S_VALID | S_BUF
+    flagged: set[int] = set()
+    for sub in np.flatnonzero((sub_flags & wanted) == wanted).tolist():
+        block, index = divmod(sub, rcache.n_subentries)
+        set_index, way = divmod(block, rcache.config.associativity)
+        rblock = rcache.store.ways(set_index)[way]
+        flagged.add(rcache.pblock_of(rblock, index))  # type: ignore[arg-type]
     buffered = {entry.pblock for entry in hier.write_buffer.entries()}
     if flagged == buffered:
         return []

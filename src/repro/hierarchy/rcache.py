@@ -16,7 +16,11 @@ unambiguous encoding of the same linkage (see DESIGN.md §6).
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterator
+from typing import Any
+
+import numpy as np
 
 from ..cache.block import CacheBlock
 from ..cache.config import CacheConfig
@@ -26,58 +30,148 @@ from ..coherence.protocol import ShareState
 #: A (set, way) slot pointer into the other cache level.
 Slot = tuple[int, int]
 
+# Subentry flag bits, one byte per subentry in ``RCache.sub_flags``.
+S_VALID = 1
+S_INCL = 2
+S_BUF = 4
+S_VDIRTY = 8
+S_RDIRTY = 16
+S_SHARED = 32
+
+_SHARED = ShareState.SHARED
+_PRIVATE = ShareState.PRIVATE
+
 
 class SubEntry:
-    """Per-sub-block bookkeeping of one R-cache tag entry."""
+    """Per-sub-block bookkeeping of one R-cache tag entry, viewed over
+    the R-cache's subentry arrays at flat index *g*."""
 
-    __slots__ = (
-        "valid",
-        "inclusion",
-        "buffer",
-        "state",
-        "vdirty",
-        "rdirty",
-        "v_pointer",
-        "version",
-    )
+    __slots__ = ("_fl", "_vr", "_pc", "_ps", "_pw", "_g")
 
-    def __init__(self) -> None:
-        self.valid = False
-        self.inclusion = False
-        self.buffer = False
-        self.state = ShareState.PRIVATE
-        self.vdirty = False
-        self.rdirty = False
-        self.v_pointer: Slot | None = None
-        self.version = 0
+    def __init__(self, rcache: Any, g: int) -> None:
+        self._fl = rcache.sub_flags
+        self._vr = rcache.sub_versions
+        self._pc = rcache.vp_ci
+        self._ps = rcache.vp_set
+        self._pw = rcache.vp_way
+        self._g = g
+
+    @property
+    def valid(self) -> bool:
+        return bool(self._fl[self._g] & S_VALID)
+
+    @valid.setter
+    def valid(self, value: bool) -> None:
+        if value:
+            self._fl[self._g] |= S_VALID
+        else:
+            self._fl[self._g] &= 0xFF ^ S_VALID
+
+    @property
+    def inclusion(self) -> bool:
+        return bool(self._fl[self._g] & S_INCL)
+
+    @inclusion.setter
+    def inclusion(self, value: bool) -> None:
+        if value:
+            self._fl[self._g] |= S_INCL
+        else:
+            self._fl[self._g] &= 0xFF ^ S_INCL
+
+    @property
+    def buffer(self) -> bool:
+        return bool(self._fl[self._g] & S_BUF)
+
+    @buffer.setter
+    def buffer(self, value: bool) -> None:
+        if value:
+            self._fl[self._g] |= S_BUF
+        else:
+            self._fl[self._g] &= 0xFF ^ S_BUF
+
+    @property
+    def vdirty(self) -> bool:
+        return bool(self._fl[self._g] & S_VDIRTY)
+
+    @vdirty.setter
+    def vdirty(self, value: bool) -> None:
+        if value:
+            self._fl[self._g] |= S_VDIRTY
+        else:
+            self._fl[self._g] &= 0xFF ^ S_VDIRTY
+
+    @property
+    def rdirty(self) -> bool:
+        return bool(self._fl[self._g] & S_RDIRTY)
+
+    @rdirty.setter
+    def rdirty(self, value: bool) -> None:
+        if value:
+            self._fl[self._g] |= S_RDIRTY
+        else:
+            self._fl[self._g] &= 0xFF ^ S_RDIRTY
+
+    @property
+    def state(self) -> ShareState:
+        return _SHARED if self._fl[self._g] & S_SHARED else _PRIVATE
+
+    @state.setter
+    def state(self, value: ShareState) -> None:
+        if value is _SHARED:
+            self._fl[self._g] |= S_SHARED
+        else:
+            self._fl[self._g] &= 0xFF ^ S_SHARED
+
+    @property
+    def version(self) -> int:
+        return self._vr[self._g]
+
+    @version.setter
+    def version(self, value: int) -> None:
+        self._vr[self._g] = value
+
+    @property
+    def v_pointer(self) -> Any:
+        """The level-1 child slot ``(cache, set, way)``, or None."""
+        g = self._g
+        ci = self._pc[g]
+        if ci < 0:
+            return None
+        return (ci, self._ps[g], self._pw[g])
+
+    @v_pointer.setter
+    def v_pointer(self, value: Any) -> None:
+        g = self._g
+        if value is None:
+            self._pc[g] = -1
+        else:
+            self._pc[g] = value[0]
+            self._ps[g] = value[1]
+            self._pw[g] = value[2]
 
     @property
     def unencumbered(self) -> bool:
         """True when no level-1 copy exists (inclusion and buffer clear)."""
-        return not self.inclusion and not self.buffer
+        return not self._fl[self._g] & (S_INCL | S_BUF)
 
     @property
     def dirty_anywhere(self) -> bool:
         """True when this hierarchy holds newer data than memory."""
-        return self.vdirty or self.rdirty or self.buffer
+        return bool(self._fl[self._g] & (S_VDIRTY | S_RDIRTY | S_BUF))
 
     def reset(self) -> None:
         """Return to the power-on state."""
-        self.valid = False
-        self.inclusion = False
-        self.buffer = False
-        self.state = ShareState.PRIVATE
-        self.vdirty = False
-        self.rdirty = False
-        self.v_pointer = None
-        self.version = 0
+        g = self._g
+        self._fl[g] = 0
+        self._pc[g] = -1
+        self._vr[g] = 0
 
     def fill(self, version: int, shared: bool) -> None:
         """Install a clean copy fetched from the bus."""
-        self.reset()
-        self.valid = True
-        self.version = version
-        self.state = ShareState.SHARED if shared else ShareState.PRIVATE
+        g = self._g
+        self._fl[g] = S_VALID | S_SHARED if shared else S_VALID
+        self._pc[g] = -1
+        self._vr[g] = version
 
     def __repr__(self) -> str:
         flags = "".join(
@@ -98,14 +192,19 @@ class RCacheBlock(CacheBlock):
     """An R-cache tag entry: a tag plus its subentries.
 
     ``valid`` on the base class mirrors "any subentry valid" so the
-    generic tag-store search works unchanged.
+    generic tag-store search works unchanged.  Level-2 entries have no
+    r-pointer arrays: ``r_pointer`` is a plain attribute that stays the
+    power-on placeholder 0 (checkpoints export it).
     """
 
-    __slots__ = ("subentries",)
+    __slots__ = ("subentries", "r_pointer")
 
-    def __init__(self, set_index: int, way: int, n_subentries: int = 1) -> None:
-        super().__init__(set_index, way)
-        self.subentries = [SubEntry() for _ in range(n_subentries)]
+    def __init__(
+        self, store: TagStore, set_index: int, way: int, subentries: list[SubEntry]
+    ) -> None:
+        super().__init__(store, set_index, way)
+        self.subentries = subentries
+        self.r_pointer = 0
 
     def refresh_valid(self) -> None:
         """Recompute the block-level valid bit from the subentries."""
@@ -127,10 +226,22 @@ class RCache:
     """Tag store plus sub-block addressing for the second level.
 
     The hierarchy object orchestrates misses and coherence; this class
-    owns geometry, lookup and victim preference.
+    owns geometry, lookup, victim preference and the subentry arrays,
+    indexed by ``(set * associativity + way) * n_subentries + index``.
     """
 
-    __slots__ = ("config", "n_subentries", "store", "sub_block_size", "_sub_bits")
+    __slots__ = (
+        "config",
+        "n_subentries",
+        "store",
+        "sub_block_size",
+        "sub_flags",
+        "sub_versions",
+        "vp_ci",
+        "vp_set",
+        "vp_way",
+        "_sub_bits",
+    )
 
     def __init__(
         self,
@@ -141,15 +252,36 @@ class RCache:
     ) -> None:
         self.config = config
         self.n_subentries = n_subentries
+        m = config.n_sets * config.associativity * n_subentries
+        self.sub_flags = bytearray(m)
+        self.sub_versions = array("q", bytes(8 * m))
+        # v-pointers: a negative cache index means "no child".
+        self.vp_ci = array("q", [-1]) * m
+        self.vp_set = array("q", bytes(8 * m))
+        self.vp_way = array("q", bytes(8 * m))
         self.store = TagStore(
             config,
-            block_factory=lambda s, w: RCacheBlock(s, w, n_subentries),
+            block_factory=self._block,
             replacement=replacement,
             seed=seed,
+            r_pointers=False,
+            planes=(
+                (self.sub_flags, np.uint8, 0),
+                (self.sub_versions, np.int64, 0),
+                (self.vp_ci, np.int64, -1),
+                (self.vp_set, np.int64, 0),
+                (self.vp_way, np.int64, 0),
+            ),
         )
         # Sub-block geometry: the level-1 block size.
         self.sub_block_size = config.block_size // n_subentries
         self._sub_bits = self.sub_block_size.bit_length() - 1
+
+    def _block(self, set_index: int, way: int) -> RCacheBlock:
+        n_sub = self.n_subentries
+        base = (set_index * self.config.associativity + way) * n_sub
+        subs = [SubEntry(self, base + i) for i in range(n_sub)]
+        return RCacheBlock(self.store, set_index, way, subs)
 
     # -- addressing ------------------------------------------------------
 

@@ -100,13 +100,6 @@ class TwoLevelHierarchy:
         "_tr_coh",
     )
 
-    #: Component types.  The struct-of-arrays core (``repro.core.soa``)
-    #: substitutes array-backed subclasses with the same constructors.
-    tlb_type = TLB
-    l1_type = L1Cache
-    rcache_type = RCache
-    write_buffer_type = WriteBuffer
-
     def __init__(
         self,
         config: HierarchyConfig,
@@ -123,9 +116,9 @@ class TwoLevelHierarchy:
         self.layout = layout
         self.bus = bus
         self.cpu = bus.attach(self)
-        self.tlb = self.tlb_type(layout, tlb_entries, tlb_associativity)
+        self.tlb = TLB(layout, tlb_entries, tlb_associativity)
         self.stats = HierarchyStats()
-        self.write_buffer = self.write_buffer_type(config.write_buffer_capacity)
+        self.write_buffer = WriteBuffer(config.write_buffer_capacity)
         self.drain_period = drain_period
         self._inclusion = config.kind.inclusion
         self._virtual_l1 = config.kind.virtual_l1
@@ -140,16 +133,15 @@ class TwoLevelHierarchy:
             else itertools.count(1).__next__
         )
 
-        l1_type = self.l1_type
         if config.split_l1:
             half = config.l1_half()
             self._l1s = [
-                l1_type(half, 0, "L1-I", config.l1_replacement, seed),
-                l1_type(half, 1, "L1-D", config.l1_replacement, seed + 1),
+                L1Cache(half, 0, "L1-I", config.l1_replacement, seed),
+                L1Cache(half, 1, "L1-D", config.l1_replacement, seed + 1),
             ]
         else:
-            self._l1s = [l1_type(config.l1, 0, "L1", config.l1_replacement, seed)]
-        self.rcache = self.rcache_type(
+            self._l1s = [L1Cache(config.l1, 0, "L1", config.l1_replacement, seed)]
+        self.rcache = RCache(
             config.l2,
             config.subentries_per_l2_block,
             config.l2_replacement,
@@ -260,6 +252,18 @@ class TwoLevelHierarchy:
             demoted += l1.swap_out()
         self.stats.counters.add("swapped_blocks", demoted)
         return demoted
+
+    def clear_change_logs(self) -> None:
+        """Drop the level-1 and TLB change logs.
+
+        The logs only carry information while the replay walker
+        (``repro.core.soa.run_soa``) is consuming them; a long run of
+        the scalar protocol path (a guarded replay, the reference
+        loop) would otherwise grow them without bound.
+        """
+        for l1 in self._l1s:
+            del l1.store.dirty_log[:]
+        del self.tlb.evict_log[:]
 
     def drain_write_buffer(self) -> int:
         """Synchronously retire every write-buffer entry (for tests

@@ -160,7 +160,7 @@ class DemandLayout(MemoryLayout):
     frame the first time a (pid, page) is referenced — a bump
     allocation, so physical placement is a pure function of first
     touch order, which is the trace order.  Replaying the same trace
-    therefore always produces the same translations, in either engine.
+    therefore always produces the same translations.
 
     Because the mapping is built *during* the run, it is replay state:
     checkpoints must carry it (:meth:`export_state` /

@@ -14,16 +14,30 @@ selective-flush discussion in section 2 of the paper.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from array import array
 
 from ..common.errors import ConfigurationError
 from ..common.params import is_power_of_two
 from ..common.stats import CounterBag
 from .address_space import MemoryLayout
 
+#: Resident entries are keyed by ``(pid << PID_SHIFT) | vpage``.
+PID_SHIFT = 48
+_VPAGE_MASK = (1 << PID_SHIFT) - 1
+
 
 class TLB:
     """LRU set-associative TLB over a :class:`MemoryLayout`.
+
+    Entries live in flat arrays (pid, vpage, frame, LRU timestamp,
+    valid), one slot per way, set-major.  A hit refreshes the entry's
+    timestamp; a miss that finds its set full evicts the entry with
+    the smallest timestamp (least recently used or inserted).
+    Resident entries never move between slots, which is what lets the
+    replay walker cache a (key -> slot) classification across a chunk;
+    every slot that loses its entry is appended to :attr:`evict_log`
+    so the walker can tell when that classification may have gone
+    stale.
 
     >>> layout = MemoryLayout()
     >>> seg = layout.add_private_segment(pid=1, name="d", base_vaddr=0x4000, n_pages=2)
@@ -40,7 +54,15 @@ class TLB:
         "associativity",
         "n_sets",
         "stats",
-        "_sets",
+        "pids",
+        "vpages",
+        "frames",
+        "ts",
+        "valid",
+        "evict_log",
+        "_tick",
+        "_map",
+        "_frames_py",
         "_page_shift",
         "_page_mask",
         "_counts",
@@ -63,10 +85,17 @@ class TLB:
         self.associativity = associativity
         self.n_sets = n_entries // associativity
         self.stats = CounterBag()
-        # One ordered dict per set: (pid, vpage) -> frame, LRU order.
-        self._sets: list[OrderedDict[tuple[int, int], int]] = [
-            OrderedDict() for _ in range(self.n_sets)
-        ]
+        self.pids = array("q", bytes(8 * n_entries))
+        self.vpages = array("q", bytes(8 * n_entries))
+        self.frames = array("q", bytes(8 * n_entries))
+        self.ts = array("q", bytes(8 * n_entries))
+        self.valid = bytearray(n_entries)
+        self.evict_log: list[int] = []
+        self._tick = 0
+        # Resident key -> slot, and the frames as plain ints for
+        # scalar reads.
+        self._map: dict[int, int] = {}
+        self._frames_py: list[int] = [0] * n_entries
         # Hot-path constants: page slicing by shift/mask when the page
         # size is a power of two (the usual case), and the counters
         # aliased directly (CounterBag restores in place, so the alias
@@ -78,9 +107,6 @@ class TLB:
         self._page_mask = page_size - 1
         self._counts = self.stats._counts
 
-    def _set_for(self, vpage: int) -> OrderedDict[tuple[int, int], int]:
-        return self._sets[vpage % self.n_sets]
-
     def translate(self, pid: int, vaddr: int) -> int:
         """Translate through the TLB, walking the page table on a miss."""
         page_size = self.layout.page_size
@@ -90,45 +116,84 @@ class TLB:
             offset = vaddr & self._page_mask
         else:
             vpage, offset = divmod(vaddr, page_size)
-        entry_set = self._sets[vpage % self.n_sets]
-        key = (pid, vpage)
-        frame = entry_set.get(key)
-        if frame is not None:
-            entry_set.move_to_end(key)
+        key = (pid << PID_SHIFT) | vpage
+        slot = self._map.get(key, -1)
+        if slot >= 0:
+            self.ts[slot] = self._tick
+            self._tick += 1
             self._counts["hits"] += 1
+            frame = self._frames_py[slot]
         else:
             self._counts["misses"] += 1
             frame = self.layout.translate(pid, vpage * page_size) // page_size
-            if len(entry_set) >= self.associativity:
-                entry_set.popitem(last=False)
+            base = (vpage % self.n_sets) * self.associativity
+            valid = self.valid
+            ts = self.ts
+            free = -1
+            count = 0
+            oldest = -1
+            oldest_ts = 0
+            for w in range(self.associativity):
+                s = base + w
+                if valid[s]:
+                    count += 1
+                    t = ts[s]
+                    if oldest < 0 or t < oldest_ts:
+                        oldest = s
+                        oldest_ts = t
+                elif free < 0:
+                    free = s
+            if count >= self.associativity:
+                del self._map[(self.pids[oldest] << PID_SHIFT) | self.vpages[oldest]]
+                valid[oldest] = 0
+                self.evict_log.append(oldest)
                 self._counts["evictions"] += 1
-            entry_set[key] = frame
+                free = oldest
+            self.pids[free] = pid
+            self.vpages[free] = vpage
+            self.frames[free] = frame
+            self._frames_py[free] = frame
+            valid[free] = 1
+            ts[free] = self._tick
+            self._tick += 1
+            self._map[key] = free
         if shift is not None:
             return (frame << shift) | offset
         return frame * page_size + offset
 
+    def _drop(self, slot: int) -> None:
+        self.valid[slot] = 0
+        self.evict_log.append(slot)
+
     def flush(self) -> None:
         """Invalidate every entry (full flush)."""
-        for entry_set in self._sets:
-            self.stats.add("flushed_entries", len(entry_set))
-            entry_set.clear()
+        # One "flushed_entries" add per set, including zero-valued adds
+        # for empty sets (those mint the counter key, which state
+        # digests can see).
+        per_set = [0] * self.n_sets
+        for key, slot in self._map.items():
+            per_set[(key & _VPAGE_MASK) % self.n_sets] += 1
+            self._drop(slot)
+        self._map.clear()
+        for count in per_set:
+            self.stats.add("flushed_entries", count)
         self.stats.add("flushes")
 
     def flush_pid(self, pid: int) -> None:
         """Invalidate only the entries of process *pid* (selective flush)."""
-        for entry_set in self._sets:
-            stale = [key for key in entry_set if key[0] == pid]
-            for key in stale:
-                del entry_set[key]
-            self.stats.add("flushed_entries", len(stale))
+        per_set: list[list[int]] = [[] for _ in range(self.n_sets)]
+        for key in self._map:
+            if (key >> PID_SHIFT) == pid:
+                per_set[(key & _VPAGE_MASK) % self.n_sets].append(key)
+        for bucket in per_set:
+            for key in bucket:
+                self._drop(self._map.pop(key))
+            self.stats.add("flushed_entries", len(bucket))
         self.stats.add("selective_flushes")
 
     def resident(self) -> list[tuple[int, int]]:
         """Every (pid, vpage) currently cached, for inspection in tests."""
-        keys: list[tuple[int, int]] = []
-        for entry_set in self._sets:
-            keys.extend(entry_set)
-        return sorted(keys)
+        return sorted((key >> PID_SHIFT, key & _VPAGE_MASK) for key in self._map)
 
     # -- fault injection and scrubbing ---------------------------------------
 
@@ -139,10 +204,10 @@ class TLB:
         the invariant guard to cross-check cached translations against
         the page tables.
         """
-        out: list[tuple[int, int, int]] = []
-        for entry_set in self._sets:
-            out.extend((pid, vpage, frame) for (pid, vpage), frame in entry_set.items())
-        return sorted(out)
+        return sorted(
+            (key >> PID_SHIFT, key & _VPAGE_MASK, self._frames_py[slot])
+            for key, slot in self._map.items()
+        )
 
     def poison(self, pid: int, vpage: int, frame: int) -> bool:
         """Overwrite a resident entry's frame in place (fault injection).
@@ -150,11 +215,11 @@ class TLB:
         Returns False when (pid, vpage) is not resident.  No counters
         are touched: a real bit-flip leaves no statistical trace.
         """
-        entry_set = self._set_for(vpage)
-        key = (pid, vpage)
-        if key not in entry_set:
+        slot = self._map.get((pid << PID_SHIFT) | vpage, -1)
+        if slot < 0:
             return False
-        entry_set[key] = frame
+        self.frames[slot] = frame
+        self._frames_py[slot] = frame
         return True
 
     def scrub(self, pid: int, vpage: int) -> bool:
@@ -163,25 +228,47 @@ class TLB:
         Returns True when the entry was resident.  The next access
         re-walks the page table, restoring the correct mapping.
         """
-        entry_set = self._set_for(vpage)
-        if entry_set.pop((pid, vpage), None) is None:
+        slot = self._map.pop((pid << PID_SHIFT) | vpage, -1)
+        if slot < 0:
             return False
+        self._drop(slot)
         self.stats.add("scrubbed_entries")
         return True
 
     # -- checkpointing ---------------------------------------------------------
 
     def export_state(self) -> dict:
-        """Checkpointable snapshot of contents (LRU order) and stats."""
-        return {
-            "sets": [list(entry_set.items()) for entry_set in self._sets],
-            "stats": self.stats.export_state(),
-        }
+        """Checkpointable snapshot: per set, the resident entries in
+        LRU order (oldest first) as ``((pid, vpage), frame)`` pairs,
+        plus the stats."""
+        sets: list[list] = [[] for _ in range(self.n_sets)]
+        for _, key, slot in sorted(
+            (self.ts[slot], key, slot) for key, slot in self._map.items()
+        ):
+            sets[(key & _VPAGE_MASK) % self.n_sets].append(
+                ((key >> PID_SHIFT, key & _VPAGE_MASK), self._frames_py[slot])
+            )
+        return {"sets": sets, "stats": self.stats.export_state()}
 
     def restore_state(self, state: dict) -> None:
         """Replace TLB contents (including LRU order) with a snapshot's."""
-        self._sets = [
-            OrderedDict((tuple(key), frame) for key, frame in entries)
-            for entries in state["sets"]
-        ]
+        self._map.clear()
+        # In-place wipes: the walker's numpy views share these buffers.
+        self.valid[:] = bytes(len(self.valid))
+        self.ts[:] = array("q", bytes(8 * len(self.ts)))
+        self._tick = 0
+        del self.evict_log[:]
+        for set_index, entries in enumerate(state["sets"]):
+            base = set_index * self.associativity
+            for w, (key, frame) in enumerate(entries):
+                pid, vpage = key
+                slot = base + w
+                self.pids[slot] = pid
+                self.vpages[slot] = vpage
+                self.frames[slot] = frame
+                self._frames_py[slot] = int(frame)
+                self.valid[slot] = 1
+                self.ts[slot] = self._tick
+                self._tick += 1
+                self._map[(int(pid) << PID_SHIFT) | int(vpage)] = slot
         self.stats.restore_state(state["stats"])

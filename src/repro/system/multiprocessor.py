@@ -114,7 +114,6 @@ class Multiprocessor:
         "bus",
         "version_counter",
         "hierarchies",
-        "engine",
     )
 
     def __init__(
@@ -125,21 +124,13 @@ class Multiprocessor:
         seed: int = 0,
         bus: Bus | None = None,
         tracer: Any = None,
-        engine: str = "object",
     ) -> None:
-        if engine not in ("object", "soa"):
-            raise ValueError(f"unknown engine {engine!r} (use 'object' or 'soa')")
         self.layout = layout
         self.config = config
-        self.engine = engine
         self.bus = bus if bus is not None else Bus(MainMemory())
         self.version_counter = VersionCounter()
-        if engine == "soa":
-            from ..core.soa import SoAHierarchy as hierarchy_cls
-        else:
-            hierarchy_cls = TwoLevelHierarchy
         self.hierarchies = [
-            hierarchy_cls(
+            TwoLevelHierarchy(
                 config,
                 layout,
                 self.bus,
@@ -175,10 +166,11 @@ class Multiprocessor:
         """Replay *records* through the machine.
 
         *records* is any iterable of :class:`TraceRecord` — a list, a
-        generator, or a :class:`~repro.trace.stream.TraceStream`
-        (streams iterate as records; the SoA engine additionally
-        recognises a stream's ``chunks`` attribute and consumes its
-        vectors directly, holding one bounded chunk at a time).
+        generator, or a :class:`~repro.trace.stream.TraceStream`.
+        An unguarded run replays through the walker
+        (``repro.core.soa.run_soa``), which recognises a stream's
+        ``chunks`` attribute and consumes its vectors directly,
+        holding one bounded chunk at a time.
 
         With *check_values*, every read is compared against a value
         oracle (the globally most recent write to its physical block);
@@ -211,22 +203,42 @@ class Multiprocessor:
             and not check_values
             and max_refs is None
         ):
-            if self.engine == "soa":
-                refs = self._run_soa(records)
-            else:
-                refs = self._run_fast(records)
+            # Imported here so that start-up does not load the walker.
+            from ..core.soa import run_soa
+
+            refs = run_soa(self, records)
         else:
             refs, guard_seconds = self._run_general(
                 records, check_values, max_refs, injector, guard, ref_offset
             )
-            if self.engine == "soa":
-                # The SoA change logs are only consumed by _run_soa;
-                # a long object-path run would grow them unboundedly.
-                for hier in self.hierarchies:
-                    hier.clear_change_logs()
+            self._clear_change_logs()
         timings = {"replay_s": perf_counter() - started}  # rps: ignore[RPS102]
         if guard is not None:
             timings["guard_s"] = guard_seconds
+        return self._result(refs, timings)
+
+    def run_scalar(self, records: Iterable[TraceRecord]) -> SimulationResult:
+        """Replay *records* through the scalar loop.
+
+        Every reference goes through ``TwoLevelHierarchy.access``.
+        This is the reference the walker must match bit for bit
+        (``repro-diff``, the equivalence tests); :meth:`run` never
+        takes it.
+        """
+        started = perf_counter()  # rps: ignore[RPS102]
+        refs = self._run_fast(records)
+        self._clear_change_logs()
+        return self._result(
+            refs, {"replay_s": perf_counter() - started}  # rps: ignore[RPS102]
+        )
+
+    def _clear_change_logs(self) -> None:
+        # The change logs are only consumed by the walker; a long run
+        # of the scalar path would grow them unboundedly.
+        for hier in self.hierarchies:
+            hier.clear_change_logs()
+
+    def _result(self, refs: int, timings: dict[str, float]) -> SimulationResult:
         return SimulationResult(
             per_cpu=[hier.stats for hier in self.hierarchies],
             bus_transactions=self.bus.stats.as_dict(),
@@ -235,16 +247,11 @@ class Multiprocessor:
             tlb_per_cpu=[hier.tlb.stats.as_dict() for hier in self.hierarchies],
         )
 
-    def _run_soa(self, records: Iterable[TraceRecord]) -> int:
-        """The struct-of-arrays replay loop (``engine="soa"``)."""
-        from ..core.soa import run_soa
-
-        return run_soa(self, records)
-
     def _run_fast(self, records: Iterable[TraceRecord]) -> int:
-        """The unguarded replay loop — every attribute hoisted into a
-        local, with the reference-class dispatch reduced to two
-        identity compares (only CSWITCH and CALL are not memory)."""
+        """The scalar reference loop (:meth:`run_scalar`) — every
+        attribute hoisted into a local, with the reference-class
+        dispatch reduced to two identity compares (only CSWITCH and
+        CALL are not memory)."""
         hierarchies = self.hierarchies
         cswitch = RefKind.CSWITCH
         call = RefKind.CALL

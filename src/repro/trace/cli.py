@@ -114,7 +114,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     from ..hierarchy.config import HierarchyKind
 
     options = RunOptions(
-        engine=args.engine,
         stream=True,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
@@ -199,9 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="vr",
         choices=["vr", "rr-incl", "rr-noincl"],
         help="hierarchy organisation",
-    )
-    replay.add_argument(
-        "--engine", default="soa", choices=["object", "soa"], help="replay core"
     )
     replay.add_argument(
         "--checkpoint-dir", default=None, help="checkpoint directory (resumable)"

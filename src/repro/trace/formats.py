@@ -11,7 +11,7 @@ Callers hand over a path; the format is sniffed, not declared:
 - anything else is tried as plain din-style text.
 
 Every reader comes back as a :class:`~repro.trace.stream.TraceStream`,
-so downstream code (engines, checkpointing, the CLI) never branches on
+so downstream code (replay, checkpointing, the CLI) never branches on
 format again.
 """
 

@@ -8,11 +8,11 @@ batches — four parallel numpy ``int64`` vectors per chunk — produced
 lazily by a :class:`TraceStream`, so a billion-reference replay holds
 at most one chunk at a time.
 
-The chunk layout is deliberately the struct-of-arrays engine's own
-batch layout: ``run_soa`` consumes the vectors directly (no
-``TraceRecord`` objects are ever built), while the object engine
-iterates :meth:`TraceChunk.records`, which yields real records.  The
-kind encoding is shared with the SoA classifier:
+The chunk layout is deliberately the replay walker's own batch
+layout: ``run_soa`` consumes the vectors directly (no ``TraceRecord``
+objects are ever built), while the scalar loop and the guarded replay
+iterate :meth:`TraceChunk.records`, which yields real records.  The
+kind encoding is shared with the walker's classifier:
 
 ====  =========
 code  kind
@@ -41,11 +41,11 @@ import numpy as np
 from ..common.errors import TraceFormatError
 from .record import RefKind, TraceRecord
 
-#: Records per chunk unless a stream overrides it.  Matches the SoA
-#: engine's 64k-record classifier batch, so one chunk is one batch.
+#: Records per chunk unless a stream overrides it.  Matches the
+#: walker's 64k-record classifier batch, so one chunk is one batch.
 DEFAULT_CHUNK_RECORDS = 1 << 16
 
-#: RefKind -> integer code (the SoA engine's batch encoding).
+#: RefKind -> integer code (the walker's batch encoding).
 KIND_TO_CODE: dict[RefKind, int] = {
     RefKind.INSTR: 0,
     RefKind.READ: 1,
@@ -133,7 +133,7 @@ class TraceChunk:
         )
 
     def records(self) -> Iterator[TraceRecord]:
-        """The chunk as :class:`TraceRecord` objects (object engine)."""
+        """The chunk as :class:`TraceRecord` objects (scalar paths)."""
         kinds = CODE_TO_KIND
         cpu = self.cpu.tolist()
         pid = self.pid.tolist()
@@ -195,7 +195,7 @@ class TraceStream:
     iteration, provenance, metadata) has working defaults.  Iterating
     a stream yields records, so any API that accepts an iterable of
     records (``Multiprocessor.run``, ``textio.dump``) accepts a stream
-    unchanged — the SoA engine additionally detects the ``chunks``
+    unchanged — the replay walker additionally detects the ``chunks``
     attribute and consumes the vectors directly.
 
     Attributes:

@@ -126,8 +126,6 @@ def _stream_replay_cmd(trace: Path, checkpoints: Path) -> list[str]:
         "4K",
         "--l2",
         "64K",
-        "--engine",
-        "soa",
         "--checkpoint-dir",
         str(checkpoints),
         "--checkpoint-every",

@@ -69,44 +69,50 @@ class TestCacheConfig:
         assert "2-way" in CacheConfig.create("16K", 16, 2).describe()
 
 
+def fresh_block(set_index=0, way=0):
+    """A power-on block, viewed through a 2-way store."""
+    store = TagStore(CacheConfig.create("1K", 16, associativity=2))
+    return store.ways(set_index)[way]
+
+
 class TestCacheBlock:
     def test_starts_invalid(self):
-        block = CacheBlock(0, 0)
+        block = fresh_block()
         assert not block.valid and not block.present
 
     def test_fill_makes_valid_clean(self):
-        block = CacheBlock(0, 0)
+        block = fresh_block()
         block.dirty = True
         block.fill(tag=5, r_pointer=(1, 0, 0), version=7)
         assert block.valid and not block.dirty and block.version == 7
 
     def test_swap_out_demotes_valid(self):
-        block = CacheBlock(0, 0)
+        block = fresh_block()
         block.fill(1, 0, 0)
         block.swap_out()
         assert not block.valid and block.swapped_valid and block.present
 
     def test_swap_out_ignores_invalid(self):
-        block = CacheBlock(0, 0)
+        block = fresh_block()
         block.swap_out()
         assert not block.present
 
     def test_swap_out_preserves_dirty(self):
-        block = CacheBlock(0, 0)
+        block = fresh_block()
         block.fill(1, 0, 0)
         block.dirty = True
         block.swap_out()
         assert block.dirty
 
     def test_invalidate_clears_all(self):
-        block = CacheBlock(0, 0)
+        block = fresh_block()
         block.fill(1, 0, 0)
         block.dirty = True
         block.invalidate()
         assert not block.present and not block.dirty
 
     def test_repr_flags(self):
-        block = CacheBlock(2, 1)
+        block = fresh_block(2, 1)
         block.fill(1, 0, 0)
         assert "V" in repr(block)
 
@@ -286,10 +292,11 @@ class TestLazySets:
 
         def factory(set_index, way):
             built.append((set_index, way))
-            return CacheBlock(set_index, way)
+            return CacheBlock(store, set_index, way)
 
         cfg = CacheConfig.create("4K", 16, associativity=assoc)
-        return TagStore(cfg, block_factory=factory), built
+        store = TagStore(cfg, block_factory=factory)
+        return store, built
 
     def test_fresh_store_builds_and_iterates_nothing(self):
         store, built = self._counting_store()
@@ -308,6 +315,21 @@ class TestLazySets:
         assert list(store) == store.ways(set_index)
         assert block is store.ways(set_index)[0]
         assert len(built) == 4  # ways() reuses the built set
+
+    def test_find_builds_views_only_on_a_hit(self):
+        store, built = self._counting_store(assoc=2)
+        assert store.find(0x1230, include_swapped=True) is None
+        assert built == []
+        # State written straight into the arrays, as the replay walker
+        # writes it: the set holds data without having been built.
+        set_index = store.config.set_index(0x1230)
+        g = set_index * 2 + 1
+        store.tags[g] = store.config.tag(0x1230)
+        store.flags[g] = 1
+        assert store.live_sets() == [set_index]
+        block = store.find(0x1230)
+        assert (block.set_index, block.way) == (set_index, 1)
+        assert built == [(set_index, 0), (set_index, 1)]
 
     def test_walks_visit_live_sets_in_index_order(self):
         store, _ = self._counting_store(assoc=1)

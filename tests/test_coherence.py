@@ -14,7 +14,8 @@ from repro.hierarchy.checker import check_all, check_coherence
 from repro.hierarchy.config import HierarchyConfig, HierarchyKind
 from repro.hierarchy.twolevel import Outcome, TwoLevelHierarchy
 from repro.mmu.address_space import MemoryLayout
-from repro.trace.record import RefKind
+from repro.system.multiprocessor import Multiprocessor
+from repro.trace.record import RefKind, TraceRecord
 
 R = RefKind.READ
 W = RefKind.WRITE
@@ -206,6 +207,25 @@ class TestShielding:
         h0.access(1, SHARED[1], W)
         assert sum(bus.stats.as_dict().values()) > 0  # h1 was snooped
         for store in [h1.rcache.store] + [l1.store for l1 in h1.l1_caches]:
+            assert store.live_sets() == []
+
+    @pytest.mark.parametrize("kind", list(HierarchyKind))
+    def test_snoops_build_no_view_in_an_idle_peer(self, kind):
+        # CPU 0 misses on 256 blocks while CPU 1 holds nothing: every
+        # snoop CPU 1 sees misses, and its tag-store lookups scan the
+        # arrays without building a single view.
+        layout = shared_layout()
+        machine = Multiprocessor(
+            layout, 2, HierarchyConfig.sized("1K", "8K", kind=kind)
+        )
+        records = [
+            TraceRecord(0, 1, W if i % 3 else R, 0x40000 + 16 * i)
+            for i in range(256)
+        ]
+        machine.run_scalar(records)
+        assert sum(machine.bus.stats.as_dict().values()) >= 256
+        peer = machine.hierarchies[1]
+        for store in [peer.rcache.store] + [l1.store for l1 in peer.l1_caches]:
             assert store.live_sets() == []
 
     def test_inclusion_rr_shields_like_vr(self):

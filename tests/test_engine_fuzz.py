@@ -1,16 +1,17 @@
-"""Hypothesis differential fuzzing: object vs SoA replay engines.
+"""Hypothesis differential fuzzing: the walker vs the scalar loop.
 
 Every example draws a short synthetic workload (mixed reference kinds,
 synonym aliases, context switches, 2-4 CPUs) and a hierarchy
 configuration from a matrix spanning all three organisations, both
 protocols, both write policies, multi-way stores, multi-subentry
 level-2 blocks and deeper write buffers — then replays the identical
-trace through both engines and requires byte-identical metrics
-snapshots and equal canonical state digests.
+trace through the walker (``Multiprocessor.run``) and through the
+scalar reference loop (``Multiprocessor.run_scalar``) and requires
+byte-identical metrics snapshots and equal canonical state digests.
 
-This is the randomized half of the engine-equivalence argument; the
-deterministic half lives in ``repro-diff`` (tier-1 workloads) and the
-``repro-verify`` BFS (the abstract protocol state space).
+This is the randomized half of the replay-equivalence argument; the
+deterministic half lives in ``repro-diff`` (tier-1 workloads) and
+``test_engine_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.trace.synthetic import SyntheticWorkload, WorkloadSpec
 
 #: Known-valid hierarchy shapes the fuzzer samples from.  Small caches
 #: keep the state space dense (more evictions, synonyms and inclusion
-#: traffic per reference), which is where the engines could diverge.
+#: traffic per reference), which is where the walker could diverge.
 CONFIGS = [
     HierarchyConfig.sized("1K", "8K"),
     HierarchyConfig.sized("1K", "8K", l1_associativity=2, l2_associativity=2),
@@ -96,17 +97,18 @@ def test_engines_bit_identical(
     )
     config = CONFIGS[config_index]
     outputs = {}
-    for engine in ("object", "soa"):
+    for path in ("scalar", "walker"):
         workload = SyntheticWorkload(spec)
-        machine = Multiprocessor(
-            workload.layout, n_cpus, config, engine=engine
-        )
-        result = machine.run(workload)
+        machine = Multiprocessor(workload.layout, n_cpus, config)
+        if path == "walker":
+            result = machine.run(workload)
+        else:
+            result = machine.run_scalar(workload)
         assert result.refs_processed > 0
-        outputs[engine] = _observables(machine, result)
-    assert outputs["object"][0] == outputs["soa"][0], (
-        "metrics snapshots diverged between engines"
+        outputs[path] = _observables(machine, result)
+    assert outputs["scalar"][0] == outputs["walker"][0], (
+        "metrics snapshots diverged between the walker and the scalar loop"
     )
-    assert outputs["object"][1] == outputs["soa"][1], (
-        "machine state digests diverged between engines"
+    assert outputs["scalar"][1] == outputs["walker"][1], (
+        "machine state digests diverged between the walker and the scalar loop"
     )

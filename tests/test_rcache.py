@@ -3,7 +3,7 @@
 
 from repro.cache.config import CacheConfig
 from repro.coherence.protocol import ShareState
-from repro.hierarchy.rcache import RCache, RCacheBlock, SubEntry
+from repro.hierarchy.rcache import RCache
 
 
 def make_rcache(n_subentries=2):
@@ -11,26 +11,36 @@ def make_rcache(n_subentries=2):
     return RCache(CacheConfig.create("1K", 32), n_subentries=n_subentries)
 
 
+def fresh_block():
+    """A power-on R-cache block (two subentries), built by its store."""
+    return make_rcache().store.ways(0)[0]
+
+
+def fresh_sub():
+    """A power-on subentry, viewed through its R-cache."""
+    return fresh_block().subentries[0]
+
+
 class TestSubEntry:
     def test_starts_invalid_and_unencumbered(self):
-        sub = SubEntry()
+        sub = fresh_sub()
         assert not sub.valid
         assert sub.unencumbered
         assert not sub.dirty_anywhere
 
     def test_fill_sets_state(self):
-        sub = SubEntry()
+        sub = fresh_sub()
         sub.fill(version=5, shared=True)
         assert sub.valid and sub.version == 5
         assert sub.state is ShareState.SHARED
 
     def test_fill_private(self):
-        sub = SubEntry()
+        sub = fresh_sub()
         sub.fill(version=1, shared=False)
         assert sub.state is ShareState.PRIVATE
 
     def test_encumbered_by_inclusion_or_buffer(self):
-        sub = SubEntry()
+        sub = fresh_sub()
         sub.inclusion = True
         assert not sub.unencumbered
         sub.inclusion = False
@@ -39,19 +49,19 @@ class TestSubEntry:
 
     def test_dirty_anywhere_variants(self):
         for field in ("vdirty", "rdirty", "buffer"):
-            sub = SubEntry()
+            sub = fresh_sub()
             setattr(sub, field, True)
             assert sub.dirty_anywhere
 
     def test_reset(self):
-        sub = SubEntry()
+        sub = fresh_sub()
         sub.fill(3, True)
         sub.inclusion = True
         sub.reset()
         assert not sub.valid and sub.unencumbered and sub.version == 0
 
     def test_repr_flags(self):
-        sub = SubEntry()
+        sub = fresh_sub()
         sub.valid = True
         sub.inclusion = True
         assert "I" in repr(sub)
@@ -59,7 +69,7 @@ class TestSubEntry:
 
 class TestRCacheBlock:
     def test_refresh_valid_tracks_subentries(self):
-        block = RCacheBlock(0, 0, n_subentries=2)
+        block = fresh_block()
         block.refresh_valid()
         assert not block.valid
         block.subentries[1].valid = True
@@ -67,7 +77,7 @@ class TestRCacheBlock:
         assert block.valid
 
     def test_invalidate_resets_subentries(self):
-        block = RCacheBlock(0, 0, n_subentries=2)
+        block = fresh_block()
         block.subentries[0].fill(1, False)
         block.refresh_valid()
         block.invalidate()
@@ -75,7 +85,7 @@ class TestRCacheBlock:
         assert not block.subentries[0].valid
 
     def test_unencumbered_all_subentries(self):
-        block = RCacheBlock(0, 0, n_subentries=2)
+        block = fresh_block()
         assert block.unencumbered
         block.subentries[1].buffer = True
         assert not block.unencumbered

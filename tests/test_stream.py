@@ -456,7 +456,7 @@ class TestOpenTrace:
         assert list(stream.records(start=37)) == records[37:]
 
 
-# -- engine + checkpoint integration ------------------------------------------
+# -- replay + checkpoint integration ------------------------------------------
 
 
 class TestStreamedReplay:
@@ -473,24 +473,20 @@ class TestStreamedReplay:
         reference = Multiprocessor(
             workload.layout, spec.n_cpus, self._config()
         ).run(records)
-        for engine in ("object", "soa"):
-            machine = Multiprocessor(
-                DemandLayout(), spec.n_cpus, self._config(), engine=engine
-            )
-            result = machine.run(BinaryTraceReader(path))
+        counters = {}
+        for path_name in ("walker", "scalar"):
+            machine = Multiprocessor(DemandLayout(), spec.n_cpus, self._config())
+            trace = BinaryTraceReader(path)
+            if path_name == "walker":
+                result = machine.run(trace)
+            else:
+                result = machine.run_scalar(trace)
             assert result.refs_processed == reference.refs_processed
             # External traces translate through a demand layout, so
             # physical placement differs from the synthetic layout —
-            # but both engines must agree with each other.
-            if engine == "object":
-                object_counters = [
-                    s.counters.export_state() for s in result.per_cpu
-                ]
-            else:
-                soa_counters = [
-                    s.counters.export_state() for s in result.per_cpu
-                ]
-        assert object_counters == soa_counters
+            # but the walker must agree with the scalar loop.
+            counters[path_name] = [s.counters.export_state() for s in result.per_cpu]
+        assert counters["walker"] == counters["scalar"]
 
     def test_checkpoint_resume_bit_identical(self, tmp_path):
         records = make_workload("pops", 0.004).records()
@@ -503,7 +499,7 @@ class TestStreamedReplay:
 
         def run(interrupt_at=None):
             ckpt = str(tmp_path / "resume.ckpt")
-            machine = Multiprocessor(DemandLayout(), 4, config, engine="soa")
+            machine = Multiprocessor(DemandLayout(), 4, config)
 
             def bomb(position):
                 if interrupt_at is not None and position >= interrupt_at:
@@ -518,7 +514,7 @@ class TestStreamedReplay:
             )
 
         plain_ckpt = str(tmp_path / "plain.ckpt")
-        plain_machine = Multiprocessor(DemandLayout(), 4, config, engine="soa")
+        plain_machine = Multiprocessor(DemandLayout(), 4, config)
         plain = run_checkpointed(
             plain_machine, BinaryTraceReader(path), plain_ckpt, chunk=3000
         )
