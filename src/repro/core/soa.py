@@ -233,17 +233,22 @@ def _walk_chunk(
             tacc[c] += 1
 
 
-def run_soa(machine: Any, records: Any) -> int:
+def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, int]]:
     """Replay *records* through *machine*'s hierarchies.
 
     Returns the number of memory references processed (CSWITCH/CALL
-    records excluded), exactly like ``Multiprocessor._run_fast``.
+    records excluded), exactly like ``Multiprocessor._run_fast``, and
+    the walker's meter: ``{"escapes": references escaped to
+    TwoLevelHierarchy.access, "native": references the native miss
+    handlers committed}``.  Every other memory reference was a pure
+    level-1 hit.
     """
     hiers = machine.hierarchies
     n_cpus = len(hiers)
     vc = machine.version_counter
     h0 = hiers[0]
     rr = not h0._virtual_l1
+    incl = h0._inclusion
     pid_tags = h0._pid_tags
     wt = h0._write_through
     split = h0._split
@@ -341,8 +346,12 @@ def run_soa(machine: Any, records: Any) -> int:
                     tset.add(g - g % assoc)
                 del log[:]
 
+    # [escapes, native commits]: the walker's meter.
+    meter = [0, 0]
+
     def esc(j: int) -> None:
         """Escape one reference to the scalar protocol path."""
+        meter[0] += 1
         c = cpu_l[j]
         h = hiers[c]
         h._refs = refs_l[c]
@@ -377,18 +386,20 @@ def run_soa(machine: Any, records: Any) -> int:
     # allocation, enum dispatch); the three dominant miss shapes — a
     # clean write hit on a private block, a level-2 hit filling level
     # 1, and a level-2 miss with no remote copies — are re-implemented
-    # directly over the arrays.  A handler first *screens* the access
-    # with zero side effects and returns False (caller escapes) for
-    # anything rare or shared: synonyms (inclusion bit), write-buffer
-    # interactions (buffer bit), shared-write invalidations, any peer
-    # holding the missing level-2 block, and every configuration the
-    # screen does not model (write-through, write-update, no
-    # inclusion, bus observers, event tracers).  Once the screen
-    # passes, the commit phase replicates ``TwoLevelHierarchy.access``
-    # mutation-for-mutation and counter-for-counter.
+    # directly over the arrays, with and without inclusion.  A handler
+    # first *screens* the access with zero side effects and returns
+    # False (caller escapes) for anything rare or shared: synonyms
+    # (inclusion bit), write-buffer interactions (buffer bit, or
+    # without inclusion the block itself in the write buffer),
+    # shared-write invalidations, a write hit on a block whose level-2
+    # parent is gone, any peer holding a copy of the missing level-2
+    # block, and every configuration the screen does not model
+    # (write-through, write-update, bus observers, event tracers).
+    # Once the screen passes, the commit phase replicates
+    # ``TwoLevelHierarchy.access`` mutation-for-mutation and
+    # counter-for-counter.
     native = (
-        h0._inclusion
-        and not wt
+        not wt
         and not h0._update_protocol
         and machine.bus.observer is None
         and all(
@@ -453,17 +464,48 @@ def run_soa(machine: Any, records: Any) -> int:
         mem_counts = mem.stats._counts
         mv = mem._versions
         mvget = mv.get
-        peer_rs = [
-            (p.rcache.store.tags, p.rcache.store.flags)
+        # Each peer's R-cache tags and flags and, for the unshielded
+        # snoop without inclusion, its level-1 tags and flags per half
+        # and its write buffer.
+        peers = [
+            (
+                p.rcache.store.tags,
+                p.rcache.store.flags,
+                [
+                    (tags_a[pg], flags_a[pg])
+                    for pg in range(pi * n_l1, pi * n_l1 + n_l1)
+                ],
+                wbs[pi],
+            )
             for pi, p in enumerate(hiers)
             if pi != c
         ]
+        peer_counts = [counts_l[pi] for pi in range(n_cpus) if pi != c]
         nsm1 = n_sub - 1
 
+        def push_wb(pb: int, ver: int, f: int) -> None:
+            # ``TwoLevelHierarchy._push_writeback`` for a dirty level-1
+            # victim with flags *f*.
+            if len(wdeq) >= wcap:
+                counts_c["writeback_stalls"] += 1
+                drain_n()
+            swp = (f & 2) != 0
+            wdeq.append(WriteBufferEntry(pb, ver, swp))
+            wb_counts["pushes"] += 1
+            counts_c["writebacks"] += 1
+            if swp:
+                wb_counts["swapped_pushes"] += 1
+                counts_c["swapped_writebacks"] += 1
+            lw = h._last_writeback_ref
+            r_now = refs_l[c]
+            if lw is not None:
+                iv = r_now - lw
+                if iv >= 1:
+                    hist_rec(iv)
+            h._last_writeback_ref = r_now
+
         def drain_n() -> None:
-            # ``TwoLevelHierarchy._drain_one`` over the arrays.  Only
-            # reachable with inclusion held (the native gate), so the
-            # no-parent case is the same protocol error it is there.
+            # ``TwoLevelHierarchy._drain_one`` over the arrays.
             entry = wdeq.popleft()
             wb_counts["retires"] += 1
             pb = entry.pblock
@@ -486,11 +528,17 @@ def run_soa(machine: Any, records: Any) -> int:
                         return
                     break
                 w2 += 1
-            raise ProtocolError(
-                "write-buffer entry has no level-2 parent",
-                access_index=refs_l[c],
-                pblock=pb,
-            )
+            if incl:
+                raise ProtocolError(
+                    "write-buffer entry has no level-2 parent",
+                    access_index=refs_l[c],
+                    pblock=pb,
+                )
+            # Without inclusion the parent may be gone: the entry goes
+            # straight to memory.
+            bus_counts["write_back"] += 1
+            mem_counts["writes"] += 1
+            mv[pb] = ver
 
         def fmiss(j: int, k: int) -> bool:
             pid = pid_l[j]
@@ -540,10 +588,29 @@ def run_soa(machine: Any, records: Any) -> int:
                 # (reads that land here were bailed for other reasons).
                 if k != 2 or (f & 4):
                     return False
-                rs = grs[lv][g]
-                if rs < 0:
-                    return False
-                sg = (rs * assoc2 + grw[lv][g]) * n_sub + grb[lv][g]
+                if incl:
+                    rs = grs[lv][g]
+                    if rs < 0:
+                        return False
+                    sg = (rs * assoc2 + grw[lv][g]) * n_sub + grb[lv][g]
+                else:
+                    # No inclusion: the r-pointer may name a reused
+                    # slot, so the parent is found by tag, as
+                    # ``_sub_for_l1_block`` does.
+                    bn2 = key >> bbits2
+                    rb = (bn2 & smask2) * assoc2
+                    tg2 = bn2 >> sbits2
+                    sg = -1
+                    w2 = 0
+                    while w2 < assoc2:
+                        gi2 = rb + w2
+                        if (rfl[gi2] & 1) and rtg[gi2] == tg2:
+                            sg = gi2 * n_sub + ((key >> sub_bits) & nsm1)
+                            break
+                        w2 += 1
+                    # An orphan (no valid parent) issues an INVALIDATE.
+                    if sg < 0 or not (sfl[sg] & _S_VALID):
+                        return False
                 if sfl[sg] & _S_SHARED:
                     return False
                 # -- commit: clean write hit on a private block --
@@ -570,9 +637,11 @@ def run_soa(machine: Any, records: Any) -> int:
                 v = vn[0]
                 vn[0] = v + 1
                 fl[g] = f | 4
-                sfl[sg] |= _S_VDIRTY
+                if incl:
+                    sfl[sg] |= _S_VDIRTY
                 gvr[lv][g] = v
                 gts[lv].add(sb)
+                meter[1] += 1
                 return True
             # Level-1 miss.
             if paddr < 0:
@@ -613,17 +682,47 @@ def run_soa(machine: Any, records: Any) -> int:
                     if k == 2 and (sf & _S_SHARED):
                         return False
                     l2_hit = True
+            pb = paddr >> sub_bits
+            if not incl:
+                # No buffer bit without inclusion: the fill snoops its
+                # own write buffer, and a buffered write-back of this
+                # block is cancelled and restored (``_place_in_l1``).
+                for entry in wdeq:
+                    if entry.pblock == pb:
+                        return False
+            base_pb = pb & nsub_mask
             if not l2_hit:
                 # A fill must arrive private and read from memory: any
                 # peer holding the level-2 block (any valid subentry
                 # replies has-copy to some sub-block's read) bails.
-                for prtg, prfl in peer_rs:
+                # Without inclusion every transaction also probes the
+                # peer's level-1 halves (valid or swapped, by physical
+                # tag) and write buffer (``_snoop_unshielded``).
+                for prtg, prfl, pl1s, pwb in peers:
                     pw = 0
                     while pw < assoc2:
                         pgi = rb + pw
                         if (prfl[pgi] & 1) and prtg[pgi] == tg2:
                             return False
                         pw += 1
+                    if incl:
+                        continue
+                    for entry in pwb:
+                        if entry.pblock & nsub_mask == base_pb:
+                            return False
+                    for ptg, pfl in pl1s:
+                        i2 = 0
+                        while i2 < n_sub:
+                            bn1 = base_pb + i2
+                            psb = (bn1 & smask) * assoc
+                            ptg1 = bn1 >> sbits
+                            pw = 0
+                            while pw < assoc:
+                                pgi = psb + pw
+                                if (pfl[pgi] & 3) and ptg[pgi] == ptg1:
+                                    return False
+                                pw += 1
+                            i2 += 1
             # -- commit --
             refs_l[c] += 1
             cd = cnt_l[c] - 1
@@ -660,6 +759,9 @@ def run_soa(machine: Any, records: Any) -> int:
                 if rvg < 0:
                     if not multi2:
                         rvg = rb
+                    elif not incl:
+                        # No unencumbered preference without inclusion.
+                        rvg = rb + r_choose(st2, rng2)
                     else:
                         cands = []
                         w2 = 0
@@ -737,10 +839,13 @@ def run_soa(machine: Any, records: Any) -> int:
                         i2 += 1
                     rfl[rvg] = 0
                 # Fill every subentry from memory (no peer copies).
-                base_bn = (paddr >> sub_bits) & nsub_mask
+                # Without inclusion each transaction probes every peer.
+                if not incl:
+                    for pcounts in peer_counts:
+                        pcounts["l1_coherence_probes"] += n_sub
                 i2 = 0
                 while i2 < n_sub:
-                    pb2 = base_bn + i2
+                    pb2 = base_pb + i2
                     if k == 2 and i2 == si:
                         bus_counts["read_modified_write"] += 1
                     else:
@@ -776,37 +881,31 @@ def run_soa(machine: Any, records: Any) -> int:
             f = fl[vg]
             if f & 3:
                 counts_c["l1_evictions"] += 1
-                grs_l = grs[lv]
-                grw_l = grw[lv]
-                grb_l = grb[lv]
-                vrs = grs_l[vg]
-                vrg = vrs * assoc2 + grw_l[vg]
-                vsg = vrg * n_sub + grb_l[vg]
-                if f & 4:
-                    vpb = (
-                        (((rtg[vrg] << sbits2) | vrs) << bbits2) >> sub_bits
-                    ) + grb_l[vg]
-                    if len(wdeq) >= wcap:
-                        counts_c["writeback_stalls"] += 1
-                        drain_n()
-                    swp = (f & 2) != 0
-                    wdeq.append(WriteBufferEntry(vpb, gvr[lv][vg], swp))
-                    wb_counts["pushes"] += 1
-                    counts_c["writebacks"] += 1
-                    if swp:
-                        wb_counts["swapped_pushes"] += 1
-                        counts_c["swapped_writebacks"] += 1
-                    lw = h._last_writeback_ref
-                    r_now = refs_l[c]
-                    if lw is not None:
-                        iv = r_now - lw
-                        if iv >= 1:
-                            hist_rec(iv)
-                    h._last_writeback_ref = r_now
-                    x = sfl[vsg]
-                    sfl[vsg] = (x | _S_BUF) & ~_S_VDIRTY
-                sfl[vsg] &= ~_S_INCL
-                vpc[vsg] = -1
+                if incl:
+                    grs_l = grs[lv]
+                    grw_l = grw[lv]
+                    grb_l = grb[lv]
+                    vrs = grs_l[vg]
+                    vrg = vrs * assoc2 + grw_l[vg]
+                    vsg = vrg * n_sub + grb_l[vg]
+                    if f & 4:
+                        push_wb(
+                            (
+                                (((rtg[vrg] << sbits2) | vrs) << bbits2)
+                                >> sub_bits
+                            )
+                            + grb_l[vg],
+                            gvr[lv][vg],
+                            f,
+                        )
+                        x = sfl[vsg]
+                        sfl[vsg] = (x | _S_BUF) & ~_S_VDIRTY
+                    sfl[vsg] &= ~_S_INCL
+                    vpc[vsg] = -1
+                elif f & 4:
+                    # No parent to mark: the pblock is rebuilt from the
+                    # victim's physical tag and set.
+                    push_wb((tgs[vg] << sbits) | (sb // assoc), gvr[lv][vg], f)
                 fl[vg] = 0
             tgs[vg] = tg
             gvr[lv][vg] = svr[sg]
@@ -814,19 +913,22 @@ def run_soa(machine: Any, records: Any) -> int:
             grw[lv][vg] = rg - rb
             grb[lv][vg] = si
             fl[vg] = 1
-            sfl[sg] |= _S_INCL
-            vpc[sg] = lv
-            vps[sg] = sb // assoc
-            vpw[sg] = vg - sb
+            if incl:
+                sfl[sg] |= _S_INCL
+                vpc[sg] = lv
+                vps[sg] = sb // assoc
+                vpw[sg] = vg - sb
             if multi:
                 gins[lv](sb // assoc, vg - sb)
             if k == 2:
                 v = vn[0]
                 vn[0] = v + 1
                 fl[vg] = 5
-                sfl[sg] |= _S_VDIRTY
+                if incl:
+                    sfl[sg] |= _S_VDIRTY
                 gvr[lv][vg] = v
             gts[lv].add(sb)
+            meter[1] += 1
             return True
 
         return fmiss, drain_n
@@ -1117,4 +1219,4 @@ def run_soa(machine: Any, records: Any) -> int:
         del log[:]
     for log in evls:
         del log[:]
-    return sum(refs_l) - refs0
+    return sum(refs_l) - refs0, {"escapes": meter[0], "native": meter[1]}

@@ -11,7 +11,9 @@ that argument:
 * traces whose pids do not fit the walker's old int64 key packing,
 * checkpoint round-trips through the arrays, and the pinned exports,
 * the walker against the scalar path from every state the protocol
-  model checker reaches.
+  model checker reaches,
+* hand-built no-inclusion traces, one per shape the native miss
+  handler leaves to the scalar path, and its parentless drain.
 
 The randomized half lives in ``test_engine_fuzz.py``.
 """
@@ -37,7 +39,7 @@ from repro.experiments.base import (
 )
 from repro.faults.checkpoint import export_machine, restore_machine
 from repro.hierarchy.config import HierarchyConfig, HierarchyKind
-from repro.mmu.address_space import DemandLayout
+from repro.mmu.address_space import DemandLayout, MemoryLayout
 from repro.system.multiprocessor import Multiprocessor
 from repro.trace.record import RefKind, TraceRecord
 from repro.trace.synthetic import SyntheticWorkload, WorkloadSpec
@@ -79,6 +81,88 @@ class TestDifferentialHarness:
         )
         diff = diff_workload("thor", scale=0.005, config=config)
         assert diff.equal, diff.mismatches
+
+    def test_tier1_rr_noincl_bit_identical(self):
+        config = HierarchyConfig.sized(
+            "4K", "64K", kind=HierarchyKind.RR_NO_INCLUSION
+        )
+        diff = diff_workload("thor", scale=0.005, config=config)
+        assert diff.equal, diff.mismatches
+
+
+R, W = RefKind.READ, RefKind.WRITE
+
+
+class TestNoInclusionShapes:
+    """Hand-built 2-CPU traces for R-R without inclusion: one for each
+    shape the native miss handler must leave to the scalar path, and
+    one for the drain it commits without a level-2 parent.
+
+    Level 1 is 1K 2-way (set stride 512 B) and level 2 is 2K
+    direct-mapped (stride 2K), so ``A`` and ``A + 2K`` share both
+    sets: the second evicts the first from level 2 but not from level
+    1, which leaves a level-1 copy with no level-2 parent.  CPU 0 runs
+    pid 1 and CPU 1 pid 2; both map the page at ``A``.  Each
+    hierarchy drains one write-buffer entry every 4th reference.
+    """
+
+    CONFIG = HierarchyConfig.sized(
+        "1K", "2K", kind=HierarchyKind.RR_NO_INCLUSION, l1_associativity=2
+    )
+    A = 0x10000
+    A2 = A + 0x800  # A's level-1 and level-2 sets
+    B = A + 0x200  # A's level-1 set, another level-2 set
+    C = A + 0x400  # likewise
+    X = A + 0x10  # sets of its own
+
+    #: name -> ((cpu, kind, vaddr) steps, walker escapes, native commits)
+    CASES = {
+        # CPU 1 keeps A only in level 1, so CPU 0's fill of A is
+        # answered has-copy and arrives SHARED; its write then
+        # invalidates CPU 1's copy.
+        "peer-holds-l1-only": ([(1, R, A), (1, R, A2), (0, R, A), (0, W, A)], 2, 2),
+        # CPU 1's dirty A, parentless after A2, is evicted by B into
+        # its write buffer; CPU 0's fill of A takes the data from there.
+        "peer-holds-write-buffer-only": (
+            [(1, W, A), (1, R, A2), (1, R, B), (0, R, A)],
+            1,
+            3,
+        ),
+        # CPU 0's A loses its level-2 parent to A2, so the clean write
+        # hit on it issues an INVALIDATE.
+        "write-hit-on-orphan": ([(1, R, X), (0, R, A), (0, R, A2), (0, W, A)], 1, 3),
+        # C evicts dirty A into the write buffer; A's refill, before
+        # the next drain, cancels that write-back.  CPU 1's read of A
+        # then escapes too: CPU 0 holds A dirty.
+        "refill-of-buffered-writeback": (
+            [(0, W, A), (0, R, B), (0, R, X), (0, R, X), (0, R, C), (0, R, A),
+             (1, R, A)],
+            2,
+            4,
+        ),
+        # Dirty A loses its level-2 parent, is evicted by B, and the
+        # 4th reference (a pure hit) drains it straight to memory,
+        # where CPU 1 reads it.
+        "drain-without-l2-parent": (
+            [(0, W, A), (0, R, A2), (0, R, B), (0, R, B), (1, R, A)],
+            0,
+            4,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_walker_matches_scalar(self, case):
+        steps, escapes, native = self.CASES[case]
+        layout = MemoryLayout()
+        layout.add_shared_segment("shm", [(1, self.A), (2, self.A)], n_pages=1)
+        records = [TraceRecord(cpu, cpu + 1, kind, va) for cpu, kind, va in steps]
+        walker = Multiprocessor(layout, 2, self.CONFIG)
+        scalar = Multiprocessor(layout, 2, self.CONFIG)
+        result = walker.run(records)
+        assert _observables(walker, result) == _observables(
+            scalar, scalar.run_scalar(records)
+        )
+        assert result.walker == {"escapes": escapes, "native": native}
 
 
 class TestWidePids:
@@ -200,12 +284,18 @@ class TestCheckpointFormat:
 
 
 class TestModelChecker:
-    def test_soa_state_space_matches_object(self):
+    @pytest.mark.parametrize(
+        "scenario_name",
+        ["vr-invalidate-wb", "rr-incl-invalidate-wb", "rr-noincl-invalidate-wb"],
+    )
+    def test_soa_state_space_matches_object(self, scenario_name):
         """Over every state the protocol model reaches: from each one,
         every access and context switch leaves the same machine whether
         the walker (``repro.core.soa``) commits it over the arrays or
-        the scalar path commits it through the block objects."""
-        scenario = scenario_named("vr-invalidate-wb")
+        the scalar path commits it through the block objects.  Every
+        write-back organisation is covered; without inclusion every
+        access goes through the native handler's unshielded branch."""
+        scenario = scenario_named(scenario_name)
         model = ProtocolModel(scenario)
         events = [
             (name, cpu, action, vaddr)

@@ -50,6 +50,27 @@ CONFIGS = [
         l1_replacement="fifo",
         l2_replacement="random",
     ),
+    # R-R without inclusion: level-2 victims over all ways, four
+    # transactions per fill (a peer may hold one of the four
+    # sub-blocks), and split halves with a deep write buffer.
+    HierarchyConfig.sized(
+        "1K",
+        "8K",
+        kind=HierarchyKind.RR_NO_INCLUSION,
+        l1_associativity=2,
+        l2_associativity=2,
+        l2_replacement="random",
+    ),
+    HierarchyConfig.sized(
+        "1K", "8K", kind=HierarchyKind.RR_NO_INCLUSION, l2_block_size=64
+    ),
+    HierarchyConfig.sized(
+        "1K",
+        "8K",
+        kind=HierarchyKind.RR_NO_INCLUSION,
+        split_l1=True,
+        write_buffer_capacity=4,
+    ),
 ]
 
 
