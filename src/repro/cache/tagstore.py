@@ -17,6 +17,8 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
+from functools import partial
+from weakref import proxy
 
 import numpy as np
 
@@ -94,6 +96,7 @@ class TagStore:
         "_set_mask",
         "_assoc",
         "_multiway",
+        "__weakref__",
     )
 
     def __init__(
@@ -142,7 +145,10 @@ class TagStore:
             )
         self.dirty_log = _DISCARD if dirty_log is None else dirty_log
         if block_factory is None:
-            block_factory = self._block
+            # Views take the arrays from a weak proxy: the store owns its
+            # sets, and a strong reference back would make it a cycle
+            # that only the cyclic garbage collector frees.
+            block_factory = partial(CacheBlock, proxy(self))
         self._sets: dict[int, list[CacheBlock]] = _Sets(
             block_factory, config.n_sets, config.associativity
         )
@@ -156,9 +162,6 @@ class TagStore:
         self._set_mask = config.set_mask
         self._assoc = config.associativity
         self._multiway = config.associativity > 1
-
-    def _block(self, set_index: int, way: int) -> CacheBlock:
-        return CacheBlock(self, set_index, way)
 
     # -- lookup ----------------------------------------------------------
 

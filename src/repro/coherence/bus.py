@@ -92,6 +92,10 @@ class Bus:
         self._snoopers.append(snooper)
         return len(self._snoopers) - 1
 
+    def detach_all(self) -> None:
+        """Forget every attached hierarchy (the bus snoops no one)."""
+        self._snoopers.clear()
+
     @property
     def n_snoopers(self) -> int:
         """Number of attached hierarchies."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterator
 from typing import Any
+from weakref import proxy
 
 import numpy as np
 
@@ -44,16 +45,15 @@ _PRIVATE = ShareState.PRIVATE
 
 class SubEntry:
     """Per-sub-block bookkeeping of one R-cache tag entry, viewed over
-    the R-cache's subentry arrays at flat index *g*."""
+    the R-cache's subentry arrays at flat index *g*.
+
+    *planes* is ``(sub_flags, sub_versions, vp_ci, vp_set, vp_way)``.
+    """
 
     __slots__ = ("_fl", "_vr", "_pc", "_ps", "_pw", "_g")
 
-    def __init__(self, rcache: Any, g: int) -> None:
-        self._fl = rcache.sub_flags
-        self._vr = rcache.sub_versions
-        self._pc = rcache.vp_ci
-        self._ps = rcache.vp_set
-        self._pw = rcache.vp_way
+    def __init__(self, planes: tuple, g: int) -> None:
+        self._fl, self._vr, self._pc, self._ps, self._pw = planes
         self._g = g
 
     @property
@@ -259,9 +259,27 @@ class RCache:
         self.vp_ci = array("q", [-1]) * m
         self.vp_set = array("q", bytes(8 * m))
         self.vp_way = array("q", bytes(8 * m))
+        planes = (
+            self.sub_flags,
+            self.sub_versions,
+            self.vp_ci,
+            self.vp_set,
+            self.vp_way,
+        )
+        assoc = config.associativity
+
+        def block(set_index: int, way: int) -> RCacheBlock:
+            # Closes over the arrays and a weak proxy of the store (bound
+            # below), never over this R-cache: the store owns the factory,
+            # and a strong reference back would make a cycle that only
+            # the cyclic garbage collector frees.
+            base = (set_index * assoc + way) * n_subentries
+            subs = [SubEntry(planes, base + i) for i in range(n_subentries)]
+            return RCacheBlock(store, set_index, way, subs)
+
         self.store = TagStore(
             config,
-            block_factory=self._block,
+            block_factory=block,
             replacement=replacement,
             seed=seed,
             r_pointers=False,
@@ -273,15 +291,10 @@ class RCache:
                 (self.vp_way, np.int64, 0),
             ),
         )
+        store = proxy(self.store)
         # Sub-block geometry: the level-1 block size.
         self.sub_block_size = config.block_size // n_subentries
         self._sub_bits = self.sub_block_size.bit_length() - 1
-
-    def _block(self, set_index: int, way: int) -> RCacheBlock:
-        n_sub = self.n_subentries
-        base = (set_index * self.config.associativity + way) * n_sub
-        subs = [SubEntry(self, base + i) for i in range(n_sub)]
-        return RCacheBlock(self.store, set_index, way, subs)
 
     # -- addressing ------------------------------------------------------
 
