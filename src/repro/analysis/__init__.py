@@ -15,8 +15,8 @@ Its console entry points:
   validity, tracer slot discipline, ``__slots__`` on hot classes, no
   allocation in hot loops) and the whole-package RPS rules
   (:mod:`repro.analysis.sanitize`: determinism taint from
-  nondeterminism sources into cache keys, journal records and
-  simulation state).  One set of ``# rps: ignore[...]`` pragmas and
+  nondeterminism sources into cache keys, simulation state and
+  metrics snapshots).  One set of ``# rps: ignore[...]`` pragmas and
   one fingerprint baseline (:mod:`repro.analysis.findings`) cover
   both.
 * ``repro-diff`` (:mod:`repro.analysis.differential`) — the

@@ -121,7 +121,6 @@ def known_metric_names() -> frozenset[str]:
     from ..obs.metrics import (
         COHERENCE_TO_L1_METRICS,
         HIERARCHY_METRIC_NAMES,
-        RUNNER_METRIC_NAMES,
         SANITIZE_METRIC_NAMES,
         TLB_METRIC_NAMES,
     )
@@ -130,7 +129,6 @@ def known_metric_names() -> frozenset[str]:
         frozenset(HIERARCHY_METRIC_NAMES.values())
         | frozenset(TLB_METRIC_NAMES.values())
         | frozenset(COHERENCE_TO_L1_METRICS)
-        | frozenset(RUNNER_METRIC_NAMES)
         | frozenset(SANITIZE_METRIC_NAMES)
         | frozenset({"sim.refs", "wb.interval"})
     )

@@ -3,8 +3,8 @@ analysis.
 
 The repo's headline guarantee — bit-identical results across
 ``--jobs`` settings, replay paths, checkpoint resume and cache replay —
-is only as strong as the code that computes keys, evolves simulation
-state and writes journals.  The RPL rules (:mod:`repro.analysis.lint`)
+is only as strong as the code that computes keys and evolves
+simulation state.  The RPL rules (:mod:`repro.analysis.lint`)
 check single-node AST patterns file by file; this module checks
 *dataflow*: it builds a module-level call graph over the ``repro``
 package and tracks how nondeterminism sources flow through it.
@@ -22,8 +22,8 @@ The rules (RPS1xx):
   ``perf_counter``/``datetime.now`` …) must not *reach a
   determinism-critical sink* through the call graph.  Sinks are the
   functions that define result identity and payloads: simulation
-  state evolution, result-cache key computation, journal records and
-  metrics snapshots (:data:`DETERMINISM_SINKS`).  The manifest/timing
+  state evolution, result-cache key computation and metrics
+  snapshots (:data:`DETERMINISM_SINKS`).  The manifest/timing
   modules that legitimately read clocks are allowlisted
   (:data:`repro.analysis.runtime.CLOCK_ALLOWED`, shared with the
   runtime guard) and act as propagation barriers.
@@ -125,13 +125,12 @@ ORDER_ACCEPTORS = frozenset(
 #: Determinism-critical sinks (RPS102): module key -> qualnames whose
 #: call-graph closure must be wall-clock-free.  These functions define
 #: what a result *is*: the simulation state machine, the cache keys
-#: naming results on disk, the journal records ``--resume`` trusts,
-#: and the metrics snapshots asserted byte-identical across runners.
+#: naming results on disk and the metrics snapshots asserted
+#: byte-identical across runners.
 DETERMINISM_SINKS: dict[str, frozenset[str]] = {
     "repro/experiments/base.py": frozenset({"simulation_key", "disk_key"}),
     "repro/runner/disk_cache.py": frozenset({"key_digest", "schema_hash"}),
     "repro/runner/planner.py": frozenset({"SimJob.key"}),
-    "repro/runner/supervisor.py": frozenset({"Supervisor._journal_entry"}),
     "repro/system/multiprocessor.py": frozenset(
         {"Multiprocessor.run", "Multiprocessor._run_fast"}
     ),

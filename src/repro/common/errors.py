@@ -124,14 +124,5 @@ class CheckpointError(ReproError):
     """A checkpoint file is missing, corrupt, or from another run."""
 
 
-class ChaosError(ReproError):
-    """A chaos-injected worker failure (``repro.faults.chaos``).
-
-    Raised deliberately inside a worker process to exercise the
-    experiment supervisor's retry and quarantine machinery; seeing one
-    outside a chaos-enabled run is a bug.
-    """
-
-
 class TraceFormatError(ReproError):
     """A trace file could not be parsed."""

@@ -18,18 +18,16 @@ Robustness options::
         --check-every 100 --guard-policy repair          # inject + repair
     repro-experiment all --checkpoint /tmp/ckpt          # resumable replay
 
-Parallel runs execute under a fault-tolerant supervisor: failed jobs
-retry with seeded backoff (``--retries``), jobs running past
-``--job-timeout`` seconds are killed and retried, dead workers trigger
-a pool rebuild, and jobs that keep failing are quarantined with a
-structured failure record instead of aborting the grid.  Completed
-jobs land in an append-only journal, so a crashed or interrupted grid
-resumes with ``--resume``.  A partially failed run (some jobs
-quarantined) exits with code 3.
+Parallel runs fail fast: the first simulation that raises stops the
+worker pool and the run exits 1 with its traceback, as a ``--jobs 1``
+run would.  Every simulation that finished first is already in the
+result cache, so a rerun with the same cache directory runs only the
+missing ones.
 
 An interrupted run (Ctrl-C) exits with code 130 after flushing the
 results of every experiment that completed; re-running with the same
-``--checkpoint`` directory resumes mid-trace.
+cache directory skips the finished simulations, and the same
+``--checkpoint`` directory resumes the others mid-trace.
 """
 
 from __future__ import annotations
@@ -63,9 +61,6 @@ from . import (
 )
 
 logger = get_logger("cli")
-
-#: Exit code when the run finished but some jobs were quarantined.
-EXIT_PARTIAL = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,96 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=50_000,
         help="trace records between checkpoints (default: 50000)",
     )
-    resil = parser.add_argument_group("resilience (supervised parallel runs)")
-    resil.add_argument(
-        "--retries",
-        type=int,
-        metavar="N",
-        default=2,
-        help="retries per failed job before quarantine (default: 2)",
-    )
-    resil.add_argument(
-        "--job-timeout",
-        type=float,
-        metavar="S",
-        default=None,
-        help="kill and retry any job running longer than S seconds",
-    )
-    resil.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "skip jobs the run journal already marks finished or "
-            "quarantined (requires a journal: --journal or a cache dir)"
-        ),
-    )
-    resil.add_argument(
-        "--journal",
-        metavar="PATH",
-        default=None,
-        help=(
-            "append-only JSONL journal of completed jobs "
-            "(default: <cache-dir>/journal.jsonl when caching)"
-        ),
-    )
-    resil.add_argument(
-        "--quarantine-dir",
-        metavar="DIR",
-        default=None,
-        help=(
-            "where failure records of quarantined jobs are written "
-            "(default: <cache-dir>/quarantine when caching)"
-        ),
-    )
-    chaos = parser.add_argument_group("chaos (deterministic fault drills)")
-    chaos.add_argument(
-        "--chaos-kill-rate",
-        type=float,
-        metavar="P",
-        default=0.0,
-        help="probability a worker SIGKILLs itself per attempt",
-    )
-    chaos.add_argument(
-        "--chaos-hang-rate",
-        type=float,
-        metavar="P",
-        default=0.0,
-        help="probability a worker hangs past the job timeout",
-    )
-    chaos.add_argument(
-        "--chaos-raise-rate",
-        type=float,
-        metavar="P",
-        default=0.0,
-        help="probability a worker raises mid-job",
-    )
-    chaos.add_argument(
-        "--chaos-hang-s",
-        type=float,
-        metavar="S",
-        default=30.0,
-        help="how long a chaos hang sleeps (default: 30)",
-    )
-    chaos.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=0,
-        help="seed of the chaos decision RNG (default: 0)",
-    )
-    chaos.add_argument(
-        "--chaos-first-attempts",
-        type=int,
-        metavar="N",
-        default=1,
-        help="only the first N attempts of a job misbehave (default: 1)",
-    )
-    chaos.add_argument(
-        "--chaos-poison-one-in",
-        type=int,
-        metavar="N",
-        default=0,
-        help="make roughly one job in N fail on every attempt (poison)",
-    )
     obs = parser.add_argument_group("observability")
     obs.add_argument(
         "--trace",
@@ -300,68 +205,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _chaos_config(args: argparse.Namespace):
-    """The ChaosConfig the flags describe, or None when chaos is off."""
-    if not (
-        args.chaos_kill_rate
-        or args.chaos_hang_rate
-        or args.chaos_raise_rate
-        or args.chaos_poison_one_in
-    ):
-        return None
-    from ..faults import ChaosConfig
-
-    return ChaosConfig(
-        kill_rate=args.chaos_kill_rate,
-        hang_rate=args.chaos_hang_rate,
-        raise_rate=args.chaos_raise_rate,
-        hang_s=args.chaos_hang_s,
-        seed=args.chaos_seed,
-        first_attempts=args.chaos_first_attempts,
-        poison_one_in=args.chaos_poison_one_in,
-    )
-
-
-def _supervisor_config(args: argparse.Namespace, cache_dir: str | None):
-    """The supervision policy for this invocation.
-
-    The journal and quarantine directory default into the cache root
-    so resumability needs no extra flags; ``--no-cache`` runs keep
-    both off unless pointed somewhere explicitly.
-    """
-    from ..runner import SupervisorConfig
-
-    journal = args.journal
-    if journal is None and cache_dir is not None:
-        journal = str(Path(cache_dir) / "journal.jsonl")
-    quarantine = args.quarantine_dir
-    if quarantine is None and cache_dir is not None:
-        quarantine = str(Path(cache_dir) / "quarantine")
-    return SupervisorConfig(
-        max_attempts=args.retries + 1,
-        job_timeout_s=args.job_timeout,
-        seed=args.chaos_seed,
-        quarantine_dir=quarantine,
-        journal_path=journal,
-        resume=args.resume,
-        chaos=_chaos_config(args),
-    )
-
-
-def _precompute(ids: list[str], scale: float, jobs: int, supervisor):
-    """Plan and pool-execute the simulations behind *ids*.
-
-    Returns the :class:`~repro.runner.RunReport`, or None when there
-    was nothing to plan.
-    """
+def _precompute(ids: list[str], scale: float, jobs: int) -> None:
+    """Plan and pool-execute the simulations behind *ids*."""
+    # Imported per call, so a wrapper around repro.runner.run_jobs
+    # (the benchmark's span recorder) sees this call.
     from ..runner import plan_jobs, run_jobs
 
     planned = plan_jobs(ids, scale)
-    if not planned:
-        return None
-    report = run_jobs(planned, jobs, supervisor=supervisor)
-    logger.info("runner: %s", report.describe())
-    return report
+    if planned:
+        logger.info("runner: %s", run_jobs(planned, jobs).describe())
 
 
 def _trace_destination(args: argparse.Namespace) -> Path:
@@ -383,15 +235,8 @@ def _write_outputs(
     trace_path: Path | None,
 ) -> None:
     """Write the metrics snapshot and the run manifest (if requested)."""
-    from ..runner import runner_metrics
-
     recorder = get_recorder()
-    registry = recorder.registry()
-    # Fold the supervisor's counters (runner.retry, runner.timeout, …)
-    # into the same registry before the single snapshot both the
-    # metrics file and the manifest share, so they stay consistent.
-    registry.merge(runner_metrics())
-    snapshot = registry.snapshot()
+    snapshot = recorder.registry().snapshot()
     manifest_path: Path | None = None
     if args.metrics_out is not None:
         metrics_path = Path(args.metrics_out)
@@ -443,17 +288,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.jobs is not None and args.jobs < 1:
         logger.error("--jobs must be >= 1")
         return 2
-    if args.retries < 0:
-        logger.error("--retries must be >= 0")
-        return 2
-    if args.job_timeout is not None and args.job_timeout <= 0:
-        logger.error("--job-timeout must be > 0 seconds")
-        return 2
-    try:
-        _chaos_config(args)
-    except ConfigurationError as exc:
-        logger.error("%s", exc)
-        return 2
     tracer = None
     trace_path: Path | None = None
     if args.trace is not None:
@@ -484,10 +318,6 @@ def main(argv: list[str] | None = None) -> int:
         checkpoint_every=args.checkpoint_every,
         cache_dir=cache_dir,
     )
-    supervisor = _supervisor_config(args, cache_dir)
-    if args.resume and supervisor.journal_path is None:
-        logger.error("--resume needs a journal: pass --journal or enable caching")
-        return 2
     previous = set_run_options(options)
     guard = None
     if args.sanitize:
@@ -500,9 +330,6 @@ def main(argv: list[str] | None = None) -> int:
         guard.__enter__()
     set_tracer(tracer)
     get_recorder().clear()
-    from ..runner import reset_runner_metrics
-
-    reset_runner_metrics()
     profiler = None
     if args.profile:
         import cProfile
@@ -510,7 +337,6 @@ def main(argv: list[str] | None = None) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
     completed = 0
-    report = None
     timings: dict[str, float] = {}
     run_started = time.time()
     try:
@@ -520,13 +346,8 @@ def main(argv: list[str] | None = None) -> int:
             # counts then provably equal the metrics counts.
             logger.info("tracing active: forcing --jobs 1")
             jobs = 1
-        supervised = (
-            args.resume
-            or args.job_timeout is not None
-            or supervisor.chaos is not None
-        )
-        if jobs > 1 or (supervised and tracer is None):
-            report = _precompute(ids, scale, jobs, supervisor)
+        if jobs > 1:
+            _precompute(ids, scale, jobs)
         for experiment_id in ids:
             started = time.time()
             result = get_runner(experiment_id)(scale=args.scale)
@@ -540,17 +361,6 @@ def main(argv: list[str] | None = None) -> int:
         if tracer is not None:
             tracer.close()
         _write_outputs(args, ids, scale, options, timings, tracer, trace_path)
-        if report is not None and not report.healthy:
-            for path in report.quarantine_files:
-                logger.warning("quarantined job record: %s", path)
-            logger.warning(
-                "partial run: %d quarantined, %d skipped as quarantined "
-                "earlier — exit %d",
-                report.quarantined,
-                report.skipped_quarantined,
-                EXIT_PARTIAL,
-            )
-            return EXIT_PARTIAL
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
         return 0

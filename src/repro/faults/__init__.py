@@ -5,14 +5,10 @@ The robustness harness for the simulator: a seeded
 transactions; an :class:`InvariantGuard` detects the damage with the
 incremental checkers and recovers per a :class:`GuardPolicy`; and the
 checkpoint module makes long trace replays interruptible and
-resumable with bit-identical results.  :class:`ChaosConfig` extends
-the same discipline to the *orchestrator*: seeded worker kills, hangs
-and raises prove the runner's supervisor recovers from process-level
-failures.
+resumable with bit-identical results.
 """
 
 from .bus import FaultyBus
-from .chaos import ChaosConfig
 from .checkpoint import (
     export_hierarchy,
     export_machine,
@@ -26,7 +22,6 @@ from .guard import GuardedHierarchy, GuardPolicy, InvariantGuard
 from .injector import FaultConfig, FaultEvent, FaultInjector, FaultKind
 
 __all__ = [
-    "ChaosConfig",
     "FaultConfig",
     "FaultEvent",
     "FaultInjector",

@@ -20,7 +20,6 @@ from .manifest import RunManifest, git_revision
 from .metrics import (
     COHERENCE_TO_L1_METRICS,
     HIERARCHY_METRIC_NAMES,
-    RUNNER_METRIC_NAMES,
     SANITIZE_METRIC_NAMES,
     TLB_METRIC_NAMES,
     CounterMetric,
@@ -64,7 +63,6 @@ __all__ = [
     "COHERENCE_TO_L1_METRICS",
     "HIERARCHY_METRIC_NAMES",
     "LEVELS",
-    "RUNNER_METRIC_NAMES",
     "SANITIZE_METRIC_NAMES",
     "TLB_METRIC_NAMES",
     "CounterMetric",

@@ -341,18 +341,6 @@ TLB_METRIC_NAMES: dict[str, str] = {
     "scrubbed_entries": "tlb.scrubbed_entry",
 }
 
-#: Resilience events the experiment supervisor counts
-#: (``repro.runner.supervisor``).  These are *orchestrator* metrics —
-#: they never appear in a :class:`SimulationResult` and are only
-#: non-zero when a run actually hit failures, so chaos-free snapshots
-#: stay byte-identical across ``--jobs`` settings.
-RUNNER_METRIC_NAMES: tuple[str, ...] = (
-    "runner.retry",
-    "runner.timeout",
-    "runner.quarantine",
-    "runner.pool_rebuild",
-)
-
 #: Events the runtime sanitizers count (``repro.analysis.runtime``).
 #: ``sanitize.determinism_violation`` only moves when a
 #: :class:`~repro.analysis.runtime.DeterminismGuard` in ``count`` mode

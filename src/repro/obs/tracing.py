@@ -45,7 +45,6 @@ CATEGORIES: frozenset[str] = frozenset(
         "coherence",  # snooped transactions percolating into a hierarchy
         "fault",  # injected metadata/bus faults
         "guard",  # invariant-guard detections, repairs, replays
-        "runner",  # supervisor: retries, timeouts, quarantines, pool rebuilds
     }
 )
 

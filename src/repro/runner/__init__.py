@@ -11,43 +11,24 @@ which transparently hits the memo (pre-seeded by the pool) and the
 disk cache.  The runner only *pre-computes* what the runners would
 compute anyway.
 
-For unattended grids, :func:`run_jobs` accepts a
-:class:`SupervisorConfig` that turns the bare pool into a supervising
-executor — retries with seeded backoff, per-job wall-clock timeouts,
-broken-pool recovery, poison-job quarantine, and an append-only run
-journal that makes interrupted runs resumable.
+:func:`run_jobs` fails fast: the first failing job stops the pool and
+re-raises.  The disk cache is what makes an interrupted or failed run
+resumable — each result is stored as it completes, so a rerun with
+the same cache directory executes only the jobs still missing.
 """
 
 from .disk_cache import ResultCache, default_cache_dir, get_cache, schema_hash
 from .planner import PLANNERS, SimJob, plan_jobs
 from .pool import RunReport, run_jobs
-from .supervisor import (
-    AttemptRecord,
-    FailureRecord,
-    JournalEntry,
-    RunJournal,
-    Supervisor,
-    SupervisorConfig,
-    reset_runner_metrics,
-    runner_metrics,
-)
 
 __all__ = [
     "PLANNERS",
-    "AttemptRecord",
-    "FailureRecord",
-    "JournalEntry",
     "ResultCache",
-    "RunJournal",
     "RunReport",
     "SimJob",
-    "Supervisor",
-    "SupervisorConfig",
     "default_cache_dir",
     "get_cache",
     "plan_jobs",
-    "reset_runner_metrics",
     "run_jobs",
-    "runner_metrics",
     "schema_hash",
 ]

@@ -34,12 +34,14 @@ from ..obs import get_logger
 logger = get_logger("runner.disk_cache")
 
 #: Subpackages whose source determines simulation results.  Changes to
-#: the experiments/runner/perf layers (rendering, planning, plotting)
-#: do not invalidate cached simulations.
+#: the experiments, runner, obs, analysis and perf layers (rendering,
+#: planning, instrumentation, checking, plotting) do not invalidate
+#: cached simulations.
 _SCHEMA_PACKAGES = (
     "cache",
     "coherence",
     "common",
+    "core",
     "faults",
     "hierarchy",
     "mmu",

@@ -14,27 +14,30 @@ Simulations are deterministic and jobs are deduplicated upstream, so
 results are bit-identical to a serial run and no two workers ever
 race on the same cache entry.
 
-Pass a :class:`~repro.runner.supervisor.SupervisorConfig` to run
-under the fault-tolerant supervisor instead of the bare pool: per-job
-timeouts, seeded retries, broken-pool recovery, quarantine and a
-resumable run journal (see :mod:`repro.runner.supervisor`).  Chaotic
-attempts either die before simulating or raise without producing a
-result, so the surviving results stay bit-identical either way.
+The pool fails fast.  A job that raises once raises on every attempt,
+so the first exception from any job (a dead worker's
+``BrokenProcessPool`` included) kills the workers, cancels the queued
+jobs, logs the failing job and re-raises; a Ctrl-C tears the pool
+down the same way.  Every result that completed before the failure is
+already on disk, so a rerun with the same cache directory runs only
+the missing jobs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 from ..experiments import base
-from ..faults.chaos import ChaosConfig
+from ..obs import get_logger
 from ..system.multiprocessor import SimulationResult
 from .disk_cache import get_cache, key_digest
 from .planner import SimJob
-from .supervisor import Supervisor, SupervisorConfig
+
+logger = get_logger("runner.pool")
 
 
 @dataclass
@@ -42,15 +45,7 @@ class RunReport:
     """How a :func:`run_jobs` call was satisfied.
 
     ``executed`` counts simulations actually replayed (in workers or,
-    for a single pending job, inline); the rest were cache hits.  The
-    resilience fields stay zero outside supervised runs: ``retried``
-    jobs succeeded after at least one failed attempt, ``timed_out`` /
-    ``quarantined`` jobs were given up on (``quarantine_files`` holds
-    their failure-record paths), ``skipped_quarantined`` jobs were
-    dropped by ``--resume`` because a previous run quarantined them.
-    ``outcomes`` maps each supervised job's digest to its terminal
-    outcome (``ok`` / ``retried`` / ``timed_out`` / ``quarantined`` /
-    ``skipped_quarantined``).
+    for a single pending job, inline); the rest were cache hits.
     """
 
     total_jobs: int = 0
@@ -59,61 +54,25 @@ class RunReport:
     executed: int = 0
     n_workers: int = 1
     elapsed_s: float = 0.0
-    retried: int = 0
-    timed_out: int = 0
-    quarantined: int = 0
-    pool_rebuilds: int = 0
-    skipped_quarantined: int = 0
-    quarantine_files: list[str] = field(default_factory=list)
-    outcomes: dict[str, str] = field(default_factory=dict)
-    timings: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def healthy(self) -> bool:
-        """True when every job reached a result (none given up on)."""
-        return self.quarantined == 0 and self.skipped_quarantined == 0
 
     def describe(self) -> str:
         """One status line for the CLI."""
-        line = (
+        return (
             f"{self.total_jobs} simulations: {self.executed} run "
             f"({self.n_workers} workers), {self.disk_hits} from disk cache, "
-            f"{self.memo_hits} memoised"
+            f"{self.memo_hits} memoised [{self.elapsed_s:.1f}s]"
         )
-        extras = []
-        if self.retried:
-            extras.append(f"{self.retried} retried")
-        if self.timed_out:
-            extras.append(f"{self.timed_out} timeout(s)")
-        if self.quarantined:
-            extras.append(f"{self.quarantined} quarantined")
-        if self.pool_rebuilds:
-            extras.append(f"{self.pool_rebuilds} pool rebuild(s)")
-        if self.skipped_quarantined:
-            extras.append(
-                f"{self.skipped_quarantined} skipped (quarantined earlier)"
-            )
-        if extras:
-            line += "; " + ", ".join(extras)
-        return line + f" [{self.elapsed_s:.1f}s]"
 
 
 def _execute_job(
-    job: SimJob,
-    options: base.RunOptions,
-    chaos: ChaosConfig | None = None,
-    attempt: int = 1,
-) -> tuple[SimJob, SimulationResult, int]:
+    job: SimJob, options: base.RunOptions
+) -> tuple[SimulationResult, int]:
     """Worker entry point: simulate *job* under *options*.
 
-    Returns the job, its result, and how many simulations were
-    actually replayed here (0 when another run's disk entry appeared
-    in the meantime).  A *chaos* config may kill, hang or fail this
-    worker before any simulation state is touched — misbehaviour
-    never corrupts a result, it only prevents one.
+    Returns the result and how many simulations were actually
+    replayed here (0 when another run's disk entry appeared in the
+    meantime).
     """
-    if chaos is not None and chaos.active:
-        chaos.apply(key_digest(job.key()), attempt)
     base.set_run_options(options)
     before = base.executed_simulations()
     result = base.simulate(
@@ -127,25 +86,27 @@ def _execute_job(
         seed=job.seed,
         config_overrides=job.config_overrides,
     )
-    return job, result, base.executed_simulations() - before
+    return result, base.executed_simulations() - before
 
 
-def run_jobs(
-    jobs: list[SimJob],
-    n_workers: int | None = None,
-    supervisor: SupervisorConfig | None = None,
-) -> RunReport:
+def _terminate_workers(pool: ProcessPoolExecutor) -> None:
+    """SIGKILL every worker of *pool*: a run that is stopping must not
+    wait for the jobs still in flight."""
+    processes = getattr(pool, "_processes", None) or {}
+    for process in list(processes.values()):
+        with contextlib.suppress(OSError):
+            process.kill()
+
+
+def run_jobs(jobs: list[SimJob], n_workers: int | None = None) -> RunReport:
     """Pre-compute *jobs* under the installed run options.
 
     After this returns, every job's result sits in the simulation
     memo (and on disk when a cache directory is configured), so the
     experiment runners replay nothing.  With ``n_workers <= 1`` or at
     most one pending job, everything runs in-process — same results,
-    no pool overhead.
-
-    A *supervisor* config routes all pending jobs through the
-    fault-tolerant :class:`~repro.runner.supervisor.Supervisor`
-    (even single pending jobs: timeouts and chaos still apply).
+    no pool overhead.  The first job to raise ends the call: its
+    exception propagates once the pool is torn down.
     """
     started = perf_counter()
     options = base.get_run_options()
@@ -174,36 +135,32 @@ def run_jobs(
                 continue
         pending.append(job)
 
-    if supervisor is not None and pending:
-        workers = min(report.n_workers, len(pending))
-        Supervisor(pending, options, workers, supervisor, _execute_job).run(report)
-        report.elapsed_s = perf_counter() - started
-        return report
-
     if report.n_workers <= 1 or len(pending) <= 1:
         for job in pending:
-            _, _, executed = _execute_job(job, options)
+            _, executed = _execute_job(job, options)
             report.executed += executed
         report.elapsed_s = perf_counter() - started
         return report
 
-    workers = min(report.n_workers, len(pending))
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(max_workers=min(report.n_workers, len(pending)))
     try:
-        futures = [pool.submit(_execute_job, job, options) for job in pending]
+        futures = {pool.submit(_execute_job, job, options): job for job in pending}
         for future in as_completed(futures):
-            job, result, executed = future.result()
+            job = futures[future]
+            try:
+                result, executed = future.result()
+            except Exception:
+                logger.error("job %s failed: %r", key_digest(job.key()), job)
+                raise
             base.seed_memo(job.key(), result)
             report.executed += executed
-    except KeyboardInterrupt:
-        # Kill workers outright — a ^C must not block on stragglers —
-        # then honour the CLI's exit-130 contract.
-        from .supervisor import _terminate_workers
-
+    except BaseException:
+        # A failed job or a ^C: kill the workers outright rather than
+        # let them finish jobs nobody will read, then let the CLI exit
+        # 1 with the traceback (or 130).
         _terminate_workers(pool)
         pool.shutdown(wait=False, cancel_futures=True)
         raise
-    else:
-        pool.shutdown(wait=True)
+    pool.shutdown(wait=True)
     report.elapsed_s = perf_counter() - started
     return report

@@ -456,7 +456,9 @@ class SyntheticWorkload:
     Iterating yields :class:`TraceRecord` events, round-robin across
     CPUs, one memory reference per CPU turn, with CSWITCH markers
     injected per the switch schedule.  The workload owns the
-    :class:`MemoryLayout` the simulator translates against.
+    :class:`MemoryLayout` the simulator translates against.  Each
+    iteration reseeds the generators from the spec, so every pass
+    yields the same trace.
 
     >>> spec = WorkloadSpec(name="tiny", total_refs=100, context_switches=1)
     >>> workload = SyntheticWorkload(spec)
@@ -468,8 +470,7 @@ class SyntheticWorkload:
     def __init__(self, spec: WorkloadSpec) -> None:
         self.spec = spec
         self.layout = MemoryLayout(spec.page_size)
-        self._machine_rng = random.Random(spec.seed)
-        self._engines: dict[int, _ProcessEngine] = {}
+        self._segments: dict[int, _ProcessSegments] = {}
         self._cpu_processes: list[list[int]] = []
         self._build_address_spaces()
 
@@ -518,16 +519,14 @@ class SyntheticWorkload:
                     [(pid, _ALIAS_BASE_A), (pid, _ALIAS_BASE_B)],
                     spec.alias_pages,
                 )
-                segs = _ProcessSegments(
+                self._segments[pid] = _ProcessSegments(
                     text=text, data=data, stack=stack,
                     alias_a=alias_a, alias_b=alias_b,
                     shared=shared_by_pid[pid],
                 )
-                rng = random.Random((spec.seed << 16) ^ (pid * 2_654_435_761))
-                self._engines[pid] = _ProcessEngine(pid, spec, segs, rng)
         self._cpu_processes = pids_by_cpu
 
-    def _switch_schedule(self) -> list[list[int]]:
+    def _switch_schedule(self, rng: random.Random) -> list[list[int]]:
         """Per-CPU sorted switch points, in per-CPU memory-ref counts."""
         spec = self.spec
         per_cpu_refs = spec.total_refs // spec.n_cpus
@@ -541,7 +540,7 @@ class SyntheticWorkload:
                 spec.context_switches + spec.n_cpus - 1 - cpu
             ) // spec.n_cpus
             span = per_cpu_refs / (switches_on_cpu + 1)
-            jitter = self._machine_rng.uniform(-span / 4, span / 4)
+            jitter = rng.uniform(-span / 4, span / 4)
             point = int((slot + 1) * span + jitter)
             schedule[cpu].append(min(max(point, 1), per_cpu_refs - 1))
         for points in schedule:
@@ -557,7 +556,14 @@ class SyntheticWorkload:
         for i in range(spec.total_refs - sum(per_cpu)):
             per_cpu[i] += 1
 
-        schedule = self._switch_schedule()
+        schedule = self._switch_schedule(random.Random(spec.seed))
+        engines = {
+            pid: _ProcessEngine(
+                pid, spec, segs,
+                random.Random((spec.seed << 16) ^ (pid * 2_654_435_761)),
+            )
+            for pid, segs in self._segments.items()
+        }
         current = [0] * n_cpus  # index into the CPU's process list
         emitted = [0] * n_cpus
         switch_pos = [0] * n_cpus
@@ -578,7 +584,7 @@ class SyntheticWorkload:
                     pid = self._cpu_processes[cpu][current[cpu]]
                     yield TraceRecord(cpu, pid, RefKind.CSWITCH)
                 pid = self._cpu_processes[cpu][current[cpu]]
-                engine = self._engines[pid]
+                engine = engines[pid]
                 # Emit until one memory reference has gone out (markers
                 # such as CALL don't count against the budget).
                 while True:

@@ -1,22 +1,24 @@
-"""Standalone chaos smoke: kill workers, interrupt the run, resume it.
+"""Interrupt-and-rerun smokes for the experiment CLI and the stream layer.
 
 Used by CI as::
 
-    python -m tests.check_chaos_resume chaos-work
-    python -m tests.check_chaos_resume --stream stream-work [REFS]
+    python -m tests.check_resume resume-work
+    python -m tests.check_resume --stream stream-work [REFS]
 
 The default mode drives the real ``repro-experiment`` CLI as
-subprocesses and replays the acceptance criterion of the resilient
-runner:
+subprocesses and checks that the disk cache resumes an interrupted
+parallel grid:
 
-1. a grid run under seeded worker kills, force-interrupted (SIGINT)
-   once the journal shows progress, exits with code 130 and leaves a
-   well-formed journal behind (if the run wins the race and finishes
-   cleanly, that is accepted too);
-2. ``--resume`` completes the remainder and exits 0 with nothing
-   quarantined;
-3. a second ``--resume`` re-executes **zero** jobs — every job is a
-   disk-cache hit and the journal does not grow.
+1. an uninterrupted ``--no-cache`` run gives the reference stdout;
+2. the same grid, run against an emptied cache directory, is sent
+   SIGINT once the cache holds at least two results, and exits with
+   code 130 (if the run wins the race and finishes first, exit 0 is
+   accepted);
+3. a rerun with the same cache directory exits 0, takes exactly the
+   stored results from disk, and prints stdout byte-identical to the
+   reference;
+4. a third run executes **zero** simulations: every one is a disk-cache
+   hit.
 
 ``--stream`` mode replays the streaming acceptance criterion instead:
 a ~1M-reference gzip-binary trace is generated through the stream
@@ -32,56 +34,43 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shutil
 import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-SCALE = "0.02"
-GRID = ["table6", "--scale", SCALE, "--jobs", "2"]
-CHAOS = ["--chaos-kill-rate", "0.4", "--chaos-seed", "7"]
-INTERRUPT_AFTER_LINES = 2
+GRID = ["all", "--scale", "0.02", "--jobs", "2"]
+INTERRUPT_AFTER_ENTRIES = 2
 WAIT_S = 300.0
 
-
-def _flags(work: Path) -> list[str]:
-    return [
-        "--cache-dir",
-        str(work / "cache"),
-        "--journal",
-        str(work / "journal.jsonl"),
-        "--quarantine-dir",
-        str(work / "quarantine"),
-    ]
+_REPORT = re.compile(r"runner: (\d+) simulations: (\d+) run .*?(\d+) from disk cache")
 
 
-def _journal_lines(path: Path) -> list[dict]:
-    if not path.is_file():
-        return []
-    lines = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        try:
-            lines.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue  # torn tail is legal mid-run
-    return lines
+def _cli(argv: list[str]) -> list[str]:
+    return [sys.executable, "-m", "repro.experiments.cli", *argv]
 
 
 def _run(argv: list[str]) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "repro.experiments.cli", *argv],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
+    return subprocess.run(_cli(argv), capture_output=True, text=True)
 
 
-def _interrupted_run(work: Path) -> int:
-    """Start the chaotic grid and SIGINT it once the journal moves."""
-    journal = work / "journal.jsonl"
+def _report(stderr: str) -> tuple[int, int, int] | None:
+    """(simulations, executed, disk hits) from the ``runner:`` line."""
+    found = _REPORT.search(stderr)
+    return None if found is None else tuple(map(int, found.groups()))
+
+
+def _cache_entries(cache: Path) -> int:
+    return sum(1 for _ in cache.glob("*/*.pkl"))
+
+
+def _interrupted_run(cache: Path) -> int:
+    """Start the grid and SIGINT it once the cache holds results."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.experiments.cli", *GRID, *CHAOS, *_flags(work)],
+        _cli([*GRID, "--cache-dir", str(cache)]),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
         text=True,
@@ -93,10 +82,10 @@ def _interrupted_run(work: Path) -> int:
         while time.monotonic() < deadline:
             if proc.poll() is not None:
                 break
-            if len(_journal_lines(journal)) >= INTERRUPT_AFTER_LINES:
+            if _cache_entries(cache) >= INTERRUPT_AFTER_ENTRIES:
                 os.killpg(proc.pid, signal.SIGINT)
                 break
-            time.sleep(0.2)
+            time.sleep(0.05)
         code = proc.wait(timeout=WAIT_S)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
@@ -106,6 +95,65 @@ def _interrupted_run(work: Path) -> int:
         if proc.stderr is not None:
             sys.stderr.write(proc.stderr.read())
     return code
+
+
+def grid_main(work: Path) -> int:
+    """The grid smoke: reference, interrupt, rerun, rerun again."""
+    cache = work / "cache"
+    shutil.rmtree(cache, ignore_errors=True)
+    work.mkdir(parents=True, exist_ok=True)
+
+    reference = _run([*GRID, "--no-cache"])
+    if reference.returncode != 0:
+        sys.stderr.write(reference.stderr)
+        print(f"FAIL: reference run exited {reference.returncode}", file=sys.stderr)
+        return 1
+    print("reference run: exit 0")
+
+    code = _interrupted_run(cache)
+    if code not in (130, 0):
+        print(f"FAIL: interrupted run exited {code}, wanted 130 (or 0)", file=sys.stderr)
+        return 1
+    stored = _cache_entries(cache)
+    print(
+        f"interrupted run: exit {code} "
+        f"({'interrupted' if code == 130 else 'finished before the SIGINT'}), "
+        f"{stored} cached result(s)"
+    )
+
+    rerun = _run([*GRID, "--cache-dir", str(cache)])
+    sys.stderr.write(rerun.stderr)
+    if rerun.returncode != 0:
+        print(f"FAIL: rerun exited {rerun.returncode}", file=sys.stderr)
+        return 1
+    if rerun.stdout != reference.stdout:
+        print("FAIL: rerun stdout differs from the uninterrupted run", file=sys.stderr)
+        return 1
+    report = _report(rerun.stderr)
+    if report is None or report[2] != stored:
+        print(
+            f"FAIL: rerun took {report} (simulations, run, from disk), "
+            f"wanted {stored} from disk",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"rerun: exit 0, stdout identical to the uninterrupted run, "
+        f"{report[1]} of {report[0]} simulations run"
+    )
+
+    again = _run([*GRID, "--cache-dir", str(cache)])
+    sys.stderr.write(again.stderr)
+    if again.returncode != 0:
+        print(f"FAIL: third run exited {again.returncode}", file=sys.stderr)
+        return 1
+    report = _report(again.stderr)
+    if report is None or report[1] != 0:
+        print(f"FAIL: third run executed simulations: {report}", file=sys.stderr)
+        return 1
+    print("third run: zero simulations run, all cache hits")
+    print("check_resume: all checks passed")
+    return 0
 
 
 #: Streamed-smoke trace length (memory references): just past 1M at
@@ -253,7 +301,7 @@ def stream_main(work: Path, refs: int = STREAM_REFS) -> int:
         )
         return 1
     print("resumed replay: counters bit-identical to the uninterrupted run")
-    print("check_chaos_resume --stream: all checks passed")
+    print("check_resume --stream: all checks passed")
     return 0
 
 
@@ -263,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         rest = argv[1:]
         if not rest or len(rest) > 2:
             print(
-                "usage: python -m tests.check_chaos_resume --stream WORKDIR [REFS]",
+                "usage: python -m tests.check_resume --stream WORKDIR [REFS]",
                 file=sys.stderr,
             )
             return 2
@@ -271,60 +319,11 @@ def main(argv: list[str] | None = None) -> int:
         return stream_main(Path(rest[0]), refs)
     if len(argv) != 1:
         print(
-            "usage: python -m tests.check_chaos_resume [--stream] WORKDIR",
+            "usage: python -m tests.check_resume [--stream] WORKDIR",
             file=sys.stderr,
         )
         return 2
-    work = Path(argv[0])
-    work.mkdir(parents=True, exist_ok=True)
-    journal = work / "journal.jsonl"
-
-    code = _interrupted_run(work)
-    if code not in (130, 0, 3):
-        print(f"FAIL: chaotic run exited {code}, wanted 130 (or 0/3)", file=sys.stderr)
-        return 1
-    interrupted = code == 130
-    print(
-        f"chaotic run: exit {code} "
-        f"({'interrupted' if interrupted else 'finished before the SIGINT'}), "
-        f"{len(_journal_lines(journal))} journalled job(s)"
-    )
-
-    resume = _run([*GRID, *CHAOS, *_flags(work), "--resume"])
-    sys.stderr.write(resume.stderr)
-    if resume.returncode != 0:
-        print(f"FAIL: --resume exited {resume.returncode}", file=sys.stderr)
-        return 1
-    entries = _journal_lines(journal)
-    quarantined = [e for e in entries if e.get("outcome") in ("quarantined", "timed_out")]
-    if quarantined:
-        print(f"FAIL: resume left quarantined jobs: {quarantined}", file=sys.stderr)
-        return 1
-    print(f"resume run: exit 0, journal at {len(entries)} job(s)")
-
-    before = len(entries)
-    again = _run([*GRID, *CHAOS, *_flags(work), "--resume"])
-    sys.stderr.write(again.stderr)
-    if again.returncode != 0:
-        print(f"FAIL: second --resume exited {again.returncode}", file=sys.stderr)
-        return 1
-    after = len(_journal_lines(journal))
-    if after != before:
-        print(
-            f"FAIL: second --resume re-executed work "
-            f"(journal grew {before} -> {after})",
-            file=sys.stderr,
-        )
-        return 1
-    if "0 run" not in again.stderr.split("runner:")[-1]:
-        print(
-            "FAIL: second --resume reported executed jobs:\n" + again.stderr,
-            file=sys.stderr,
-        )
-        return 1
-    print("second resume: zero re-executed jobs — all cache hits")
-    print("check_chaos_resume: all checks passed")
-    return 0
+    return grid_main(Path(argv[0]))
 
 
 if __name__ == "__main__":

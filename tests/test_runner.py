@@ -7,7 +7,9 @@ The load-bearing guarantees:
 * a pooled run produces **bit-identical** experiment data to a serial
   run (simulations are deterministic, so process fan-out must be
   invisible);
+* the first failing job ends the run and leaves no worker behind;
 * a warm disk cache satisfies a rerun without executing anything;
+* the cache's schema hash covers every package a simulation runs;
 * ``clear_caches`` really clears, including the disk.
 
 Everything runs at a tiny scale (~13k references per trace) so the
@@ -17,10 +19,18 @@ whole module takes seconds.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.common.errors import ConfigurationError
 from repro.experiments import RUNNERS, base
 from repro.experiments.base import (
     RunOptions,
@@ -31,8 +41,13 @@ from repro.experiments.base import (
     trace_records,
 )
 from repro.hierarchy.config import HierarchyKind
-from repro.runner import plan_jobs, run_jobs
-from repro.runner.disk_cache import ResultCache, get_cache, schema_hash
+from repro.runner import SimJob, plan_jobs, run_jobs
+from repro.runner.disk_cache import (
+    _SCHEMA_PACKAGES,
+    ResultCache,
+    get_cache,
+    schema_hash,
+)
 
 SCALE = 0.004
 
@@ -106,6 +121,18 @@ class TestPool:
         assert first.executed == len(jobs)
         assert second.executed == 0
         assert second.memo_hits == len(jobs)
+
+    def test_failing_job_stops_the_pool(self):
+        """The first job to raise propagates, and no worker outlives it."""
+        # At scale 0.02 the queued grid runs for seconds past the 1 s
+        # bound, so a pool left running after the raise is caught.
+        bad = SimJob("thor", 0.02, "4K", "3K", HierarchyKind.VR)
+        with pytest.raises(ConfigurationError):
+            run_jobs([bad] + plan_jobs(["table6"], 0.02), n_workers=2)
+        deadline = time.monotonic() + 1.0
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert multiprocessing.active_children() == []
 
 
 # -- persistent cache ----------------------------------------------------------
@@ -227,6 +254,35 @@ class TestDiskCache:
         assert schema_hash() == schema_hash()
         assert len(schema_hash()) == 16
 
+    def test_schema_covers_every_package_a_simulation_loads(self):
+        """A fresh process's simulate() loads no unhashed package other
+        than the layers that plan, render, instrument or check."""
+        probe = (
+            "import sys\n"
+            "from repro.experiments.base import simulate\n"
+            "from repro.hierarchy.config import HierarchyKind\n"
+            f"simulate('pops', {SCALE}, '4K', '64K', HierarchyKind.VR)\n"
+            "print(*sorted({name.split('.')[1] for name in sys.modules\n"
+            "               if name.startswith('repro.')}))\n"
+        )
+        src = str(Path(repro.__file__).parents[1])
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        loaded = set(
+            subprocess.run(
+                [sys.executable, "-c", probe],
+                capture_output=True,
+                text=True,
+                check=True,
+                env=env,
+            ).stdout.split()
+        )
+        assert {"core", "hierarchy", "trace"} <= loaded
+        non_result = {"experiments", "runner", "obs", "analysis", "perf"}
+        assert loaded - non_result <= set(_SCHEMA_PACKAGES)
+
     def test_concurrent_processes_with_sabotage(self, tmp_path):
         """Several processes hammering one cache root while another
         deliberately corrupts entries in place: no load may ever raise
@@ -258,6 +314,23 @@ class TestDiskCache:
         assert cache.load(("stress", 0))["fresh"]
 
 
+# -- the disk cache's tmp-file race --------------------------------------------
+
+
+class TestStoreRace:
+    def test_store_survives_concurrent_tmp_cleanup(self, tmp_path, monkeypatch):
+        """A cleaner unlinking the tmp file mid-store must not break it."""
+        cache = ResultCache(str(tmp_path))
+
+        def racing_unlink(self, *args, **kwargs):
+            raise FileNotFoundError(self)
+
+        monkeypatch.setattr(Path, "unlink", racing_unlink)
+        cache.store(("key",), {"v": 1})  # must not raise
+        monkeypatch.undo()
+        assert cache.load(("key",)) == {"v": 1}
+
+
 # -- trace cache bound ---------------------------------------------------------
 
 
@@ -285,3 +358,20 @@ class TestTraceCache:
         assert result.timings["replay_s"] > 0
         assert "trace_gen_s" in result.timings
         assert result.timings["build_s"] >= 0
+
+
+# -- CLI integration -----------------------------------------------------------
+
+
+class TestCli:
+    def test_interrupted_precompute_exits_130(self, monkeypatch):
+        from repro.experiments import cli
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_precompute", interrupted)
+        code = cli.main(
+            ["table5", "--scale", str(SCALE), "--jobs", "2", "--no-cache"]
+        )
+        assert code == 130

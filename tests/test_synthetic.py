@@ -66,6 +66,10 @@ class TestGeneration:
         second = SyntheticWorkload(spec).records()
         assert first == second
 
+    def test_reiteration_repeats_the_trace(self):
+        workload = SyntheticWorkload(tiny_spec())
+        assert list(workload) == list(workload)
+
     def test_different_seed_different_trace(self):
         first = SyntheticWorkload(tiny_spec(seed=1)).records()
         second = SyntheticWorkload(tiny_spec(seed=2)).records()
