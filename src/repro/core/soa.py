@@ -23,7 +23,6 @@ match bit for bit: ``TwoLevelHierarchy.access`` for every reference.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Any
 
 import numpy as np
@@ -41,10 +40,11 @@ from ..hierarchy.rcache import (
 from ..hierarchy.stats import _L1_KEYS
 from ..mmu.tlb import PID_SHIFT as _PID_SHIFT
 from ..trace.record import RefKind
+from ..trace.stream import chunk_iter
 
 # Numeric reference-kind codes used by the vectorized classifier:
-# INSTR=0, READ=1, WRITE=2, CSWITCH=3, CALL=4 (assigned inline in the
-# batch-conversion loop).  Memory kinds come first so ``kind_code < 3``
+# INSTR=0, READ=1, WRITE=2, CSWITCH=3, CALL=4 (the chunk encoding of
+# ``repro.trace.stream``).  Memory kinds come first so ``kind_code < 3``
 # selects them, and the INSTR/READ/WRITE codes double as indices into
 # the per-CPU hit accumulators (matching l1_hits_i/_r/_w).
 _KIND_OBJS = (RefKind.INSTR, RefKind.READ, RefKind.WRITE)
@@ -1085,64 +1085,25 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, int]]:
             empty,
         )
 
-    k_i = RefKind.INSTR
-    k_r = RefKind.READ
-    k_w = RefKind.WRITE
-    k_cs = RefKind.CSWITCH
-
     def _batch_source():
         # Chunked streams (repro.trace.stream) already carry each
         # batch in the walker's own vector layout — same int64
         # dtype, same 0-4 kind codes — so their arrays feed the
-        # classifier directly and no TraceRecord is ever built.
+        # classifier directly; record iterables are packed into the
+        # same chunks first.
         chunks = getattr(records, "chunks", None)
-        if chunks is not None:
-            for chunk in chunks():
-                yield (
-                    chunk.cpu.tolist(),
-                    chunk.pid.tolist(),
-                    chunk.vaddr.tolist(),
-                    chunk.kind.tolist(),
-                    chunk.cpu,
-                    chunk.pid,
-                    chunk.kind,
-                    chunk.vaddr,
-                )
-            return
-        it = iter(records)
-        while True:
-            batch = list(islice(it, _BATCH))
-            if not batch:
-                return
-            c_l = [r.cpu for r in batch]
-            p_l = [r.pid for r in batch]
-            v_l = [r.vaddr for r in batch]
-            # Identity compares beat the enum-dict lookup: ``RefKind``
-            # members hash through ``Enum.__hash__`` (a Python call).
-            k_l = [
-                0
-                if (k := r.kind) is k_i
-                else 1
-                if k is k_r
-                else 2
-                if k is k_w
-                else 3
-                if k is k_cs
-                else 4
-                for r in batch
-            ]
+        source = chunks() if chunks is not None else chunk_iter(records, _BATCH)
+        for chunk in source:
             yield (
-                c_l,
-                p_l,
-                v_l,
-                k_l,
-                np.asarray(c_l, dtype=np.int64),
-                np.asarray(p_l, dtype=np.int64),
-                np.asarray(k_l, dtype=np.int64),
-                np.asarray(v_l, dtype=np.int64),
+                chunk.cpu.tolist(),
+                chunk.pid.tolist(),
+                chunk.vaddr.tolist(),
+                chunk.kind.tolist(),
+                chunk.cpu,
+                chunk.pid,
+                chunk.kind,
+                chunk.vaddr,
             )
-            if len(batch) < _BATCH:
-                return
 
     # The names below are the cells _classify / esc / cs close over:
     # the unpacking must happen in run_soa's own body so each batch

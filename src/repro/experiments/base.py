@@ -3,8 +3,10 @@
 Several paper tables draw on the same simulations (Table 6, Figures
 4–6 and Tables 11–13 all use the VR/RR runs over three size pairs),
 so results are memoised per process, keyed by every parameter that
-affects them.  Generated traces are memoised too (below a size cap)
-because one trace feeds many configurations.
+affects them.  One trace feeds many configurations, so each synthetic
+trace is generated once per run into the run's *trace store* (a
+directory of RPTB files) and every simulation streams it from there;
+the trace analyses keep a small LRU of decoded record lists.
 
 The default trace scale is intentionally far below the paper's 3.3M
 references so that the whole suite runs in minutes of pure Python;
@@ -14,10 +16,14 @@ raise it — 1.0 reproduces the full trace lengths.
 
 from __future__ import annotations
 
+import atexit
 import os
 import re
+import shutil
+import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from time import perf_counter
 
 from ..faults import (
@@ -45,7 +51,7 @@ SMALL_SIZE_PAIRS: list[tuple[str, str]] = [
     ("2K", "256K"),
 ]
 
-#: Traces above this many references are regenerated instead of cached.
+#: Traces above this many references are decoded again instead of cached.
 _TRACE_CACHE_LIMIT = 600_000
 
 #: Distinct (trace, scale) record lists kept in memory at once.  A run
@@ -104,12 +110,14 @@ class RunOptions:
         checkpoint_every: trace records replayed between checkpoints.
         cache_dir: root of the persistent result cache; None disables
             disk caching (the in-process memo still applies).
-        stream: replay synthetic traces through the bounded-chunk
-            stream layer (DESIGN §14) instead of materialising them.
         trace_provenance: ``(format, version, digest)`` of an external
             trace feeding the run; :func:`simulate` fills it in for
             ``file:`` traces so cached results are pinned to the exact
             file bytes they were computed from.
+        trace_store: directory of the run's trace store (see
+            :func:`stored_trace`); None uses the process's own.  Where
+            the store lives changes no result, so it takes no part in
+            equality, hashing or :meth:`result_key_parts`.
     """
 
     check_every: int | None = None
@@ -119,16 +127,16 @@ class RunOptions:
     checkpoint_dir: str | None = None
     checkpoint_every: int = 50_000
     cache_dir: str | None = None
-    stream: bool = False
     trace_provenance: tuple | None = None
+    trace_store: str | None = field(default=None, compare=False)
 
     def result_key_parts(self) -> tuple:
         """The option fields that can affect simulation *results*.
 
-        Used for the disk-cache key: ``cache_dir`` (where results go)
-        and the checkpoint directory path (not whether checkpointing
-        is on) are excluded, so runs differing only in bookkeeping
-        locations share cached results.
+        Used for the disk-cache key: ``cache_dir`` (where results go),
+        ``trace_store`` and the checkpoint directory path (not whether
+        checkpointing is on) are excluded, so runs differing only in
+        bookkeeping locations share cached results.
         """
         return (
             self.check_every,
@@ -137,10 +145,6 @@ class RunOptions:
             self.fault_seed,
             self.checkpoint_dir is not None,
             self.checkpoint_every,
-            # Streamed replay is provably identical to in-memory
-            # replay, but keyed apart so the streaming equivalence
-            # checks always exercise the stream path.
-            self.stream,
             self.trace_provenance,
         )
 
@@ -175,6 +179,8 @@ _trace_cache: OrderedDict[
     tuple[str, float], tuple[list[TraceRecord], MemoryLayout]
 ] = OrderedDict()
 _sim_cache: dict[tuple, SimulationResult] = {}
+#: The trace store of callers that install none, made on first use.
+_process_store: str | None = None
 
 #: Simulations actually replayed (not served from memo or disk) since
 #: the last :func:`clear_caches`.  The runner's warm-cache tests and
@@ -190,11 +196,16 @@ def executed_simulations() -> int:
 def clear_caches() -> None:
     """Drop memoised traces and simulations (tests use this).
 
-    When the installed options name a disk cache, its entries are
-    removed too, so "clear" means the next simulation really runs.
+    The trace store is emptied, and when the installed options name a
+    disk cache, its entries are removed too, so "clear" means the next
+    simulation really runs.
     """
     global _executed_simulations
     _trace_cache.clear()
+    _workload_layout.cache_clear()
+    root = _run_options.trace_store or _process_store
+    if root is not None:
+        shutil.rmtree(root, ignore_errors=True)
     _sim_cache.clear()
     _executed_simulations = 0
     get_recorder().clear()
@@ -204,23 +215,74 @@ def clear_caches() -> None:
         get_cache(_run_options.cache_dir).clear()
 
 
+def _remove_store(root: str, owner: int) -> None:
+    if os.getpid() == owner:  # not in a forked child exiting normally
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def trace_store() -> str:
+    """The directory this run's synthetic traces are generated into.
+
+    The installed options' ``trace_store`` when set (the CLI makes one
+    per invocation), else a process-scoped temporary directory,
+    created on first use and removed at exit.
+    """
+    global _process_store
+    if _run_options.trace_store is not None:
+        return _run_options.trace_store
+    if _process_store is None:
+        _process_store = tempfile.mkdtemp(prefix="repro-traces-")
+        atexit.register(_remove_store, _process_store, os.getpid())
+    return _process_store
+
+
+def stored_trace(name: str, scale: float) -> str:
+    """The RPTB file of surrogate trace *name* at *scale* in the store.
+
+    The first call in a run generates the trace through
+    :meth:`SyntheticWorkload.records` and renames the written file
+    into place, so no reader sees a partial file; every later call, in
+    this process or a pool worker sharing the store, generates nothing.
+    """
+    root = trace_store()
+    path = os.path.join(root, f"{name}-{scale!r}.rtb")
+    if not os.path.exists(path):
+        from ..trace.binio import write_binary
+
+        os.makedirs(root, exist_ok=True)
+        partial = f"{path}.{os.getpid()}.partial"
+        write_binary(make_workload(name, scale).records(), partial)
+        os.replace(partial, path)
+    return path
+
+
+@lru_cache(maxsize=_TRACE_CACHE_ENTRIES)
+def _workload_layout(name: str, scale: float) -> MemoryLayout:
+    """The layout trace *name* at *scale* was generated against (built
+    from the spec alone, identically in every process)."""
+    return make_workload(name, scale).layout
+
+
 def trace_records(
     name: str, scale: float
 ) -> tuple[list[TraceRecord], MemoryLayout]:
     """The surrogate trace *name* at *scale*, with its address layout.
 
-    Cached traces are kept in a small LRU (``_TRACE_CACHE_ENTRIES``
-    slots, each at most ``_TRACE_CACHE_LIMIT`` references) so a long
-    multi-trace run cannot grow memory without bound.
+    For the trace analyses: the records are decoded from the run's
+    trace store, never generated a second time.  Decoded traces are
+    kept in a small LRU (``_TRACE_CACHE_ENTRIES`` slots, each at most
+    ``_TRACE_CACHE_LIMIT`` references) so a long multi-trace run
+    cannot grow memory without bound.
     """
+    from ..trace.binio import BinaryTraceReader
+
     key = (name, scale)
     cached = _trace_cache.get(key)
     if cached is not None:
         _trace_cache.move_to_end(key)
         return cached
-    workload = make_workload(name, scale)
-    records = workload.records()
-    result = (records, workload.layout)
+    records = list(BinaryTraceReader(stored_trace(name, scale)))
+    result = (records, _workload_layout(name, scale))
     if get_spec(name, scale).total_refs <= _TRACE_CACHE_LIMIT:
         _trace_cache[key] = result
         while len(_trace_cache) > _TRACE_CACHE_ENTRIES:
@@ -233,20 +295,19 @@ def trace_stream(name: str, scale: float):
 
     ``file:<path>`` names open an external trace file or directory
     (format sniffed by :func:`repro.trace.formats.open_trace`) over a
-    demand-mapped layout; any other name streams the synthetic
-    workload at *scale* without materialising it.  Returns
-    ``(stream, layout, n_cpus)``.
+    demand-mapped layout; any other name streams the surrogate trace
+    at *scale* from the run's trace store (:func:`stored_trace`).
+    Returns ``(stream, layout, n_cpus)``.
     """
     from ..mmu.address_space import DemandLayout
+    from ..trace.binio import BinaryTraceReader
     from ..trace.formats import open_trace
-    from ..trace.stream import SyntheticTraceStream
 
     if name.startswith("file:"):
         stream = open_trace(name[len("file:") :])
         return stream, DemandLayout(), stream.n_cpus or 2
-    spec = get_spec(name, scale)
-    synthetic = SyntheticTraceStream(spec)
-    return synthetic, synthetic.layout, spec.n_cpus
+    stream = BinaryTraceReader(stored_trace(name, scale))
+    return stream, _workload_layout(name, scale), get_spec(name, scale).n_cpus
 
 
 def simulation_key(
@@ -327,13 +388,10 @@ def simulate(
     """
     global _executed_simulations
     options = _run_options
-    streaming = options.stream or trace_name.startswith("file:")
     stream = None
-    stream_layout = None
-    stream_cpus = 0
-    if streaming:
-        stream, stream_layout, stream_cpus = trace_stream(trace_name, scale)
-        # Pin the cached result to the exact trace bytes/spec it was
+    if trace_name.startswith("file:"):
+        stream, layout, n_cpus = trace_stream(trace_name, scale)
+        # Pin the cached result to the exact trace bytes it was
         # computed from, so one file can never answer for another.
         provenance = stream.provenance()
         if provenance != options.trace_provenance:
@@ -369,13 +427,10 @@ def simulate(
             get_recorder().record(cache_key, stored)
             return stored
     gen_started = perf_counter()
-    if streaming:
-        records: object = stream
-        layout = stream_layout
-        n_cpus = stream_cpus
-    else:
-        records, layout = trace_records(trace_name, scale)
-        n_cpus = get_spec(trace_name, scale).n_cpus
+    if stream is None:
+        # A surrogate trace: generated into the store by the first
+        # simulation of the run that needs it, streamed by all.
+        stream, layout, n_cpus = trace_stream(trace_name, scale)
     trace_gen_s = perf_counter() - gen_started
     config = HierarchyConfig.sized(
         l1_size,
@@ -417,7 +472,7 @@ def simulate(
         path = os.path.join(options.checkpoint_dir, f"{stem}.ckpt")
         result = run_checkpointed(
             machine,
-            records,
+            stream,
             path,
             key=tuple(repr(part) for part in key),
             chunk=options.checkpoint_every,
@@ -425,7 +480,7 @@ def simulate(
             guard=guard,
         )
     else:
-        result = machine.run(records, injector=injector, guard=guard)
+        result = machine.run(stream, injector=injector, guard=guard)
     result.timings["trace_gen_s"] = trace_gen_s
     result.timings["build_s"] = build_s
     _executed_simulations += 1

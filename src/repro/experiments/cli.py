@@ -28,6 +28,10 @@ An interrupted run (Ctrl-C) exits with code 130 after flushing the
 results of every experiment that completed; re-running with the same
 cache directory skips the finished simulations, and the same
 ``--checkpoint`` directory resumes the others mid-trace.
+
+Each invocation generates every synthetic trace it needs once, into a
+temporary trace store that every simulation streams from; the store
+is removed when the run ends, however it ends.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -317,29 +323,30 @@ def main(argv: list[str] | None = None) -> int:
         checkpoint_dir=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         cache_dir=cache_dir,
+        trace_store=tempfile.mkdtemp(prefix="repro-traces-"),
     )
     previous = set_run_options(options)
     guard = None
-    if args.sanitize:
-        from ..analysis.runtime import DeterminismGuard
-
-        # In-process only: parallel workers are separate interpreters and
-        # run unguarded.  Good enough — every experiment also runs (and is
-        # keyed) identically under --jobs 1.
-        guard = DeterminismGuard()
-        guard.__enter__()
-    set_tracer(tracer)
-    get_recorder().clear()
     profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
     completed = 0
     timings: dict[str, float] = {}
-    run_started = time.time()
     try:
+        if args.sanitize:
+            from ..analysis.runtime import DeterminismGuard
+
+            # In-process only: parallel workers are separate interpreters
+            # and run unguarded.  Good enough — every experiment also runs
+            # (and is keyed) identically under --jobs 1.
+            guard = DeterminismGuard()
+            guard.__enter__()
+        set_tracer(tracer)
+        get_recorder().clear()
+        if args.profile:
+            import cProfile
+
+            profiler = cProfile.Profile()
+            profiler.enable()
+        run_started = time.time()
         jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
         if tracer is not None and jobs > 1:
             # One process, one replay per unique simulation: event
@@ -379,6 +386,7 @@ def main(argv: list[str] | None = None) -> int:
         if guard is not None:
             guard.__exit__(None, None, None)
         set_run_options(previous)
+        shutil.rmtree(options.trace_store, ignore_errors=True)
         if tracer is not None:
             set_tracer(None)
             tracer.close()

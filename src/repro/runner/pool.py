@@ -1,14 +1,18 @@
 """The worker pool: fan simulation jobs out across processes.
 
 The parent first resolves every job against the in-process memo and
-the disk cache; only true misses are submitted.  Workers receive the
-*job description* — never trace records — and regenerate the trace
-locally from its seed, which keeps the submission payload tiny and
-the generation cost parallel too.  Each worker installs the parent's
-:class:`RunOptions`, runs :func:`repro.experiments.base.simulate`
-(writing the disk cache as a side effect), and ships the pickled
-:class:`SimulationResult` back; the parent seeds the memo so the
-experiment runners then find every simulation precomputed.
+the disk cache; only true misses are submitted, in two phases.  The
+pool first generates each distinct synthetic trace the pending jobs
+need, one job per trace, into the run's trace store (a directory of
+RPTB files named in the :class:`RunOptions` every job receives), so
+generation runs in parallel and exactly once.  Only then are the
+simulations submitted: workers receive the *job description* — never
+trace records — and stream the trace from the store.  Each worker
+installs the parent's :class:`RunOptions`, runs
+:func:`repro.experiments.base.simulate` (writing the disk cache as a
+side effect), and ships the pickled :class:`SimulationResult` back;
+the parent seeds the memo so the experiment runners then find every
+simulation precomputed, and its trace analyses decode the same files.
 
 Simulations are deterministic and jobs are deduplicated upstream, so
 results are bit-identical to a serial run and no two workers ever
@@ -28,7 +32,7 @@ from __future__ import annotations
 import contextlib
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 
 from ..experiments import base
@@ -62,6 +66,12 @@ class RunReport:
             f"({self.n_workers} workers), {self.disk_hits} from disk cache, "
             f"{self.memo_hits} memoised [{self.elapsed_s:.1f}s]"
         )
+
+
+def _generate_trace(trace: str, scale: float, options: base.RunOptions) -> None:
+    """Worker entry point: write *trace* at *scale* into the store."""
+    base.set_run_options(options)
+    base.stored_trace(trace, scale)
 
 
 def _execute_job(
@@ -103,10 +113,11 @@ def run_jobs(jobs: list[SimJob], n_workers: int | None = None) -> RunReport:
 
     After this returns, every job's result sits in the simulation
     memo (and on disk when a cache directory is configured), so the
-    experiment runners replay nothing.  With ``n_workers <= 1`` or at
-    most one pending job, everything runs in-process — same results,
-    no pool overhead.  The first job to raise ends the call: its
-    exception propagates once the pool is torn down.
+    experiment runners replay nothing, and every synthetic trace the
+    pool simulated sits in the trace store.  With ``n_workers <= 1``
+    or at most one pending job, everything runs in-process — same
+    results, no pool overhead.  The first job to raise ends the call:
+    its exception propagates once the pool is torn down.
     """
     started = perf_counter()
     options = base.get_run_options()
@@ -142,8 +153,24 @@ def run_jobs(jobs: list[SimJob], n_workers: int | None = None) -> RunReport:
         report.elapsed_s = perf_counter() - started
         return report
 
+    # The workers and this process's later trace analyses share one
+    # store; a caller that installed none gets this process's own.
+    options = replace(options, trace_store=base.trace_store())
+    traces = sorted(
+        {(job.trace, job.scale) for job in pending if not job.trace.startswith("file:")}
+    )
     pool = ProcessPoolExecutor(max_workers=min(report.n_workers, len(pending)))
     try:
+        generation = {
+            pool.submit(_generate_trace, trace, scale, options): (trace, scale)
+            for trace, scale in traces
+        }
+        for future in as_completed(generation):
+            try:
+                future.result()
+            except Exception:
+                logger.error("generating %s at scale %g failed", *generation[future])
+                raise
         futures = {pool.submit(_execute_job, job, options): job for job in pending}
         for future in as_completed(futures):
             job = futures[future]

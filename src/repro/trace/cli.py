@@ -114,7 +114,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     from ..hierarchy.config import HierarchyKind
 
     options = RunOptions(
-        stream=True,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
     )

@@ -113,22 +113,27 @@ class TraceChunk:
     def from_records(
         cls, records: Iterable[TraceRecord], start: int = 0
     ) -> "TraceChunk":
-        """Pack materialised *records* into one chunk."""
-        cpu: list[int] = []
-        pid: list[int] = []
-        kind: list[int] = []
-        vaddr: list[int] = []
-        codes = KIND_TO_CODE
-        for record in records:
-            cpu.append(record.cpu)
-            pid.append(record.pid)
-            kind.append(codes[record.kind])
-            vaddr.append(record.vaddr)
+        """Pack materialised *records* into one chunk.
+
+        This is the one record-to-vector conversion: the walker and
+        the binary writer both reach record iterables through it.
+        """
+        batch = records if isinstance(records, list) else list(records)
+        k_i, k_r, k_w, k_cs = CODE_TO_KIND[:4]
         return cls(
-            np.asarray(cpu, dtype=np.int64),
-            np.asarray(pid, dtype=np.int64),
-            np.asarray(kind, dtype=np.int64),
-            np.asarray(vaddr, dtype=np.int64),
+            np.asarray([r.cpu for r in batch], dtype=np.int64),
+            np.asarray([r.pid for r in batch], dtype=np.int64),
+            # Identity compares beat a KIND_TO_CODE lookup: ``RefKind``
+            # members hash through ``Enum.__hash__`` (a Python call).
+            np.asarray(
+                [
+                    0 if (k := r.kind) is k_i else 1 if k is k_r
+                    else 2 if k is k_w else 3 if k is k_cs else 4
+                    for r in batch
+                ],
+                dtype=np.int64,
+            ),
+            np.asarray([r.vaddr for r in batch], dtype=np.int64),
             start,
         )
 

@@ -29,10 +29,18 @@ import random
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 from collections.abc import Iterator
+from itertools import accumulate
 
 from ..common.errors import ConfigurationError
 from ..mmu.address_space import MemoryLayout, Segment
 from .record import RefKind, TraceRecord
+
+_INSTR = RefKind.INSTR
+_READ = RefKind.READ
+_WRITE = RefKind.WRITE
+_CALL = RefKind.CALL
+#: The memory kinds, in the mix controller's order.
+_MEMORY_KINDS = (_INSTR, _READ, _WRITE)
 
 #: Distribution of stack writes per procedure call, taken from the
 #: shape of the paper's Table 1 (pops): dominated by 6- and 9-write
@@ -238,9 +246,15 @@ class _ProcessEngine:
             ] = None
         self._lru_snapshot = list(self.lru_stack)
 
-        # Running mix counts for the feedback controller.
-        self.counts = {RefKind.INSTR: 0, RefKind.READ: 0, RefKind.WRITE: 0}
+        # Running mix counts for the feedback controller, one slot per
+        # memory kind in _MEMORY_KINDS order.
+        self.counts = [0, 0, 0]
         self.total = 0
+        # The mix targets, built once: ``_pick_kind`` runs for every
+        # generated event and must not rebuild them (or hash a RefKind).
+        fracs = (spec.instr_frac, spec.read_frac, spec.write_frac)
+        self._targets = tuple(enumerate(fracs))
+        self._cum_fracs = list(accumulate(fracs))
 
         # Call-burst sampling table.
         self._burst_sizes = list(CALL_WRITE_WEIGHTS)
@@ -257,24 +271,17 @@ class _ProcessEngine:
     # -- mix controller ------------------------------------------------
 
     def _pick_kind(self) -> RefKind:
-        spec = self.spec
-        targets = {
-            RefKind.INSTR: spec.instr_frac,
-            RefKind.READ: spec.read_frac,
-            RefKind.WRITE: spec.write_frac,
-        }
-        if self.rng.random() < spec.mix_jitter:
-            return self.rng.choices(
-                list(targets), weights=list(targets.values())
-            )[0]
+        if self.rng.random() < self.spec.mix_jitter:
+            return self.rng.choices(_MEMORY_KINDS, cum_weights=self._cum_fracs)[0]
         # Deficit steering: pick the kind lagging its target most.
         total = self.total + 1
-        best, best_deficit = RefKind.INSTR, float("-inf")
-        for kind, frac in targets.items():
-            deficit = frac * total - self.counts[kind]
+        counts = self.counts
+        best, best_deficit = 0, float("-inf")
+        for index, frac in self._targets:
+            deficit = frac * total - counts[index]
             if deficit > best_deficit:
-                best, best_deficit = kind, deficit
-        return best
+                best, best_deficit = index, deficit
+        return _MEMORY_KINDS[best]
 
     # -- instruction engine ----------------------------------------------
 
@@ -440,13 +447,20 @@ class _ProcessEngine:
             kind, addr = self.pending.popleft()
         else:
             kind = self._pick_kind()
-            if kind is RefKind.INSTR:
+            if kind is _INSTR:
                 addr = self._next_instr()
             else:
                 addr = self._next_data()
-        if kind.is_memory:
-            self.counts[kind] += 1
-            self.total += 1
+        # Identity compares: ``RefKind.is_memory`` hashes the member.
+        if kind is _INSTR:
+            self.counts[0] += 1
+        elif kind is _READ:
+            self.counts[1] += 1
+        elif kind is _WRITE:
+            self.counts[2] += 1
+        else:
+            return kind, addr
+        self.total += 1
         return kind, addr
 
 
@@ -590,7 +604,8 @@ class SyntheticWorkload:
                 while True:
                     kind, addr = engine.next_event()
                     yield TraceRecord(cpu, pid, kind, addr)
-                    if kind.is_memory:
+                    # CALL is the only marker an engine emits.
+                    if kind is not _CALL:
                         emitted[cpu] += 1
                         break
 

@@ -10,7 +10,9 @@ The load-bearing guarantees:
 * the first failing job ends the run and leaves no worker behind;
 * a warm disk cache satisfies a rerun without executing anything;
 * the cache's schema hash covers every package a simulation runs;
-* ``clear_caches`` really clears, including the disk.
+* ``clear_caches`` really clears, including the disk;
+* a run generates each synthetic trace once, into a trace store that
+  nothing outlives.
 
 Everything runs at a tiny scale (~13k references per trace) so the
 whole module takes seconds.
@@ -23,6 +25,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -38,6 +41,7 @@ from repro.experiments.base import (
     executed_simulations,
     set_run_options,
     simulate,
+    stored_trace,
     trace_records,
 )
 from repro.hierarchy.config import HierarchyKind
@@ -48,8 +52,19 @@ from repro.runner.disk_cache import (
     get_cache,
     schema_hash,
 )
+from repro.trace.synthetic import SyntheticWorkload
+from repro.trace.workloads import get_spec, workload_names
 
 SCALE = 0.004
+
+
+def _src_env() -> dict[str, str]:
+    """The environment for a fresh interpreter importing this ``repro``."""
+    src = str(Path(repro.__file__).parents[1])
+    return dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -265,18 +280,13 @@ class TestDiskCache:
             "print(*sorted({name.split('.')[1] for name in sys.modules\n"
             "               if name.startswith('repro.')}))\n"
         )
-        src = str(Path(repro.__file__).parents[1])
-        env = dict(
-            os.environ,
-            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-        )
         loaded = set(
             subprocess.run(
                 [sys.executable, "-c", probe],
                 capture_output=True,
                 text=True,
                 check=True,
-                env=env,
+                env=_src_env(),
             ).stdout.split()
         )
         assert {"core", "hierarchy", "trace"} <= loaded
@@ -360,6 +370,79 @@ class TestTraceCache:
         assert result.timings["build_s"] >= 0
 
 
+# -- the trace store ------------------------------------------------------------
+
+
+class TestTraceStore:
+    def test_each_trace_is_generated_once_per_run(self, tmp_path, monkeypatch):
+        """The pool's workers and the parent's analyses share one
+        generation per distinct (trace, scale)."""
+        calls = tmp_path / "generated.txt"
+        records = SyntheticWorkload.records
+
+        def counting(self):
+            # Pool workers inherit this wrapper through fork.
+            with open(calls, "a", encoding="utf-8") as handle:
+                handle.write(f"{self.spec.name}/{self.spec.total_refs}\n")
+            return records(self)
+
+        monkeypatch.setattr(SyntheticWorkload, "records", counting)
+        run_jobs(plan_jobs(["table6", "table7"], SCALE), 2)
+        RUNNERS["table1"](scale=SCALE)
+        generated = calls.read_text(encoding="utf-8").split()
+        assert sorted(generated) == sorted(
+            f"{name}/{get_spec(name, SCALE).total_refs}" for name in workload_names()
+        )
+
+    def test_store_is_outside_equality_and_keys(self):
+        plain = RunOptions()
+        stored = RunOptions(trace_store="/elsewhere")
+        assert stored == plain
+        assert hash(stored) == hash(plain)
+        assert stored.result_key_parts() == plain.result_key_parts()
+
+    def test_clear_caches_empties_the_store(self):
+        path = stored_trace("pops", SCALE)
+        assert os.path.exists(path)
+        clear_caches()
+        assert not os.path.exists(path)
+
+    def test_library_store_is_removed_at_exit(self):
+        probe = (
+            "import os\n"
+            "from repro.experiments.base import simulate, trace_store\n"
+            "from repro.hierarchy.config import HierarchyKind\n"
+            f"simulate('pops', {SCALE}, '4K', '64K', HierarchyKind.VR)\n"
+            "root = trace_store()\n"
+            "print(root)\n"
+            "print(sorted(os.listdir(root)))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=_src_env(),
+        ).stdout
+        root, listing = out.splitlines()
+        assert f"pops-{SCALE!r}.rtb" in listing
+        assert not os.path.exists(root)
+
+
+def _recording_mkdtemp(monkeypatch) -> list[str]:
+    """Record every temporary directory made while the test runs."""
+    created: list[str] = []
+    mkdtemp = tempfile.mkdtemp
+
+    def recording(*args, **kwargs):
+        path = mkdtemp(*args, **kwargs)
+        created.append(path)
+        return path
+
+    monkeypatch.setattr(tempfile, "mkdtemp", recording)
+    return created
+
+
 # -- CLI integration -----------------------------------------------------------
 
 
@@ -375,3 +458,37 @@ class TestCli:
             ["table5", "--scale", str(SCALE), "--jobs", "2", "--no-cache"]
         )
         assert code == 130
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_no_cache_run_leaves_no_store(self, monkeypatch, capsys, jobs):
+        from repro.experiments import cli
+
+        created = _recording_mkdtemp(monkeypatch)
+        code = cli.main(
+            ["table6", "--scale", str(SCALE), "--jobs", jobs, "--no-cache"]
+        )
+        assert code == 0
+        stores = [path for path in created if "repro-traces-" in path]
+        assert len(stores) == 1
+        assert not os.path.exists(stores[0])
+
+    def test_interrupted_run_leaves_no_store(self, monkeypatch, capsys):
+        """Ctrl-C while the pool replays from a full store."""
+        from repro.experiments import cli
+
+        created = _recording_mkdtemp(monkeypatch)
+        seen: list[list[str]] = []
+
+        def interrupted(*args, **kwargs):
+            seen.append(sorted(os.listdir(base.get_run_options().trace_store)))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(base, "seed_memo", interrupted)
+        code = cli.main(
+            ["table6", "--scale", str(SCALE), "--jobs", "2", "--no-cache"]
+        )
+        assert code == 130
+        assert len(seen[0]) == len(workload_names())
+        stores = [path for path in created if "repro-traces-" in path]
+        assert len(stores) == 1
+        assert not os.path.exists(stores[0])

@@ -544,14 +544,12 @@ class TestStreamedReplay:
         from repro.experiments.base import RunOptions
 
         plain = RunOptions()
-        streamed = RunOptions(stream=True)
         pinned = RunOptions(trace_provenance=("rtb", 1, "ab" * 32))
         keys = {
             plain.result_key_parts(),
-            streamed.result_key_parts(),
             pinned.result_key_parts(),
         }
-        assert len(keys) == 3
+        assert len(keys) == 2
 
 
 def test_trace_stream_default_surface():
