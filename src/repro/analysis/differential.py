@@ -112,8 +112,6 @@ def _replay(
     config: HierarchyConfig,
     streamed: bool = False,
 ) -> ReplayRun:
-    from ..faults.checkpoint import export_machine
-
     spec = get_spec(name, scale)
     if streamed:
         from ..trace.stream import SyntheticTraceStream
@@ -124,7 +122,22 @@ def _replay(
         workload = make_workload(name, scale)
         trace = workload
         layout = workload.layout
-    machine = Multiprocessor(layout, spec.n_cpus, config)
+    return replay_trace(path, trace, layout, spec.n_cpus, config)
+
+
+def replay_trace(
+    path: str,
+    trace: Any,
+    layout: Any,
+    n_cpus: int,
+    config: HierarchyConfig,
+    seed: int = 0,
+) -> ReplayRun:
+    """Replay *trace* through a fresh machine on one path of
+    :data:`PATHS` and capture everything :func:`compare_runs` checks."""
+    from ..faults.checkpoint import export_machine
+
+    machine = Multiprocessor(layout, n_cpus, config, seed=seed)
     started = perf_counter()
     result = machine.run(trace) if path == "walker" else machine.run_scalar(trace)
     seconds = perf_counter() - started
@@ -161,8 +174,9 @@ def _first_counter_diff(
     return out
 
 
-def _compare_runs(ref: ReplayRun, other: ReplayRun, label: str) -> list[str]:
-    """Every observable of *other* checked against the reference run."""
+def compare_runs(ref: ReplayRun, other: ReplayRun, label: str) -> list[str]:
+    """Every observable of *other* checked against the reference run;
+    returns one line per mismatch (none when they agree)."""
     ref_name = ref.path
     mismatches: list[str] = []
     if ref.refs != other.refs:
@@ -214,7 +228,7 @@ def diff_workload(
     for label, run in runs.items():
         if label == "scalar":
             continue
-        mismatches += _compare_runs(ref, run, label)
+        mismatches += compare_runs(ref, run, label)
     return WorkloadDiff(
         workload=name,
         scale=scale,

@@ -28,6 +28,7 @@ from typing import Any
 import numpy as np
 
 from ..cache.write_buffer import WriteBufferEntry
+from ..coherence.bus import Bus
 from ..common.errors import InclusionError, ProtocolError
 from ..hierarchy.rcache import (
     S_BUF as _S_BUF,
@@ -55,6 +56,11 @@ _KIND_OBJS = (RefKind.INSTR, RefKind.READ, RefKind.WRITE)
 # the *same* string objects, not merely equal ones).
 _HIT_KEYS = tuple(_L1_KEYS[kind, True] for kind in _KIND_OBJS)
 _MISS_KEYS = tuple(_L1_KEYS[kind, False] for kind in _KIND_OBJS)
+
+# Bus transactions the native bus round issues, and their counter
+# keys (``BusOp`` values; interned, like the scalar path's).
+_READ, _RMW, _INV = 0, 1, 2
+_BUS_KEYS = ("read_miss", "read_modified_write", "invalidate")
 
 #: References per classification chunk and records per conversion batch.
 _CHUNK = 8192
@@ -233,15 +239,17 @@ def _walk_chunk(
             tacc[c] += 1
 
 
-def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, int]]:
+def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
     """Replay *records* through *machine*'s hierarchies.
 
     Returns the number of memory references processed (CSWITCH/CALL
     records excluded), exactly like ``Multiprocessor._run_fast``, and
     the walker's meter: ``{"escapes": references escaped to
     TwoLevelHierarchy.access, "native": references the native miss
-    handlers committed}``.  Every other memory reference was a pure
-    level-1 hit.
+    handlers committed, "escapes_by": {reason: escapes}}``, the
+    escapes counted by the screen's bail reason (``gate`` for a run
+    outside the native gate; the values sum to ``escapes``).  Every
+    other memory reference was a pure level-1 hit.
     """
     hiers = machine.hierarchies
     n_cpus = len(hiers)
@@ -346,15 +354,23 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, int]]:
                     tset.add(g - g % assoc)
                 del log[:]
 
-    # [escapes, native commits]: the walker's meter.
+    # [escapes, native commits]: the walker's meter.  Each escape is
+    # also counted under the reason the native screen gave for its
+    # bail (``fmiss`` sets ``why``), or ``gate`` when no screen runs.
     meter = [0, 0]
+    escapes_by: dict[str, int] = {}
+    why = "gate"
 
     def esc(j: int) -> None:
         """Escape one reference to the scalar protocol path."""
         meter[0] += 1
+        escapes_by[why] = escapes_by.get(why, 0) + 1
         c = cpu_l[j]
         h = hiers[c]
-        h._refs = refs_l[c]
+        # Every hierarchy's access index, not only this one's: a peer
+        # whose snoop rejects its state reports its own.
+        for i in range(n_cpus):
+            hiers[i]._refs = refs_l[i]
         h._drain_countdown = cnt_l[c]
         tlbs[c]._tick = ticks[c]
         vc.next_value = vn[0]
@@ -383,24 +399,29 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, int]]:
 
     # Native scalar miss handlers.  The scalar protocol path costs
     # tens of microseconds per escape (view properties, AccessResult
-    # allocation, enum dispatch); the three dominant miss shapes — a
-    # clean write hit on a private block, a level-2 hit filling level
-    # 1, and a level-2 miss with no remote copies — are re-implemented
-    # directly over the arrays, with and without inclusion.  A handler
-    # first *screens* the access with zero side effects and returns
-    # False (caller escapes) for anything rare or shared: synonyms
-    # (inclusion bit), write-buffer interactions (buffer bit, or
-    # without inclusion the block itself in the write buffer),
-    # shared-write invalidations, a write hit on a block whose level-2
-    # parent is gone, any peer holding a copy of the missing level-2
-    # block, and every configuration the screen does not model
-    # (write-through, write-update, bus observers, event tracers).
-    # Once the screen passes, the commit phase replicates
-    # ``TwoLevelHierarchy.access`` mutation-for-mutation and
-    # counter-for-counter.
+    # allocation, enum dispatch); the dominant miss shapes — a clean
+    # write hit, a level-2 hit filling level 1, and a level-2 miss —
+    # are re-implemented directly over the arrays, with and without
+    # inclusion.  When the access meets other CPUs' copies (a fill of
+    # a block a peer holds, a write to a SHARED block), a native bus
+    # round snoops every peer over its arrays as the scalar snoop
+    # would.  A handler first *screens* the access with zero side
+    # effects and returns False (caller escapes) for anything rare:
+    # synonyms (inclusion bit), write-buffer interactions (buffer bit,
+    # or without inclusion the block itself in the write buffer, its
+    # own or a peer's), a write hit on a block whose level-2 parent is
+    # gone, a peer state the scalar path would reject, and every
+    # configuration the screen does not model (write-through,
+    # write-update, bus observers, event tracers).  Once the screen
+    # passes, the commit phase replicates ``TwoLevelHierarchy.access``
+    # mutation-for-mutation and counter-for-counter.  The bus round
+    # stands in for ``Bus.issue``, so a bus that overrides it (the
+    # fault-injecting ``FaultyBus``) keeps every miss on the scalar
+    # path.
     native = (
         not wt
         and not h0._update_protocol
+        and type(machine.bus) is Bus
         and machine.bus.observer is None
         and all(
             h._tr_syn is None
@@ -464,15 +485,22 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, int]]:
         mem_counts = mem.stats._counts
         mv = mem._versions
         mvget = mv.get
-        # Each peer's R-cache tags and flags and, for the unshielded
-        # snoop without inclusion, its level-1 tags and flags per half
-        # and its write buffer.
+        # Every peer, in bus attach order (the hierarchies' order),
+        # with what the screen and the bus round read and write: its
+        # counters, R-cache tags, flags and subentry planes, level-1
+        # groups (tags, flags, versions, taint set) and write buffer.
         peers = [
             (
+                counts_l[pi],
                 p.rcache.store.tags,
                 p.rcache.store.flags,
+                p.rcache.sub_flags,
+                p.rcache.sub_versions,
+                p.rcache.vp_ci,
+                p.rcache.vp_set,
+                p.rcache.vp_way,
                 [
-                    (tags_a[pg], flags_a[pg])
+                    (tags_a[pg], flags_a[pg], vers_a[pg], tsets[pg])
                     for pg in range(pi * n_l1, pi * n_l1 + n_l1)
                 ],
                 wbs[pi],
@@ -480,7 +508,7 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, int]]:
             for pi, p in enumerate(hiers)
             if pi != c
         ]
-        peer_counts = [counts_l[pi] for pi in range(n_cpus) if pi != c]
+        peer_counts = [peer[0] for peer in peers]
         nsm1 = n_sub - 1
 
         def push_wb(pb: int, ver: int, f: int) -> None:
@@ -540,7 +568,212 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, int]]:
             mem_counts["writes"] += 1
             mv[pb] = ver
 
+        def held_by_peer(rb: int, tg2: int, base_pb: int) -> bool:
+            # Whether a level-2 miss of block (rb, tg2) meets a peer
+            # copy: a peer's R-cache holds the block (any valid
+            # subentry replies has-copy to some sub-block's read) or,
+            # without inclusion, where every transaction also probes
+            # the peer's level-1 halves (valid or swapped, by physical
+            # tag) and write buffer (``_snoop_unshielded``), one of
+            # those holds one of its sub-blocks.
+            for _, prtg, prfl, _, _, _, _, _, pl1s, pwb in peers:
+                pw = 0
+                while pw < assoc2:
+                    pgi = rb + pw
+                    if (prfl[pgi] & 1) and prtg[pgi] == tg2:
+                        return True
+                    pw += 1
+                if incl:
+                    continue
+                for entry in pwb:
+                    if entry.pblock & nsub_mask == base_pb:
+                        return True
+                for ptg, pfl, _, _ in pl1s:
+                    i2 = 0
+                    while i2 < n_sub:
+                        bn1 = base_pb + i2
+                        psb = (bn1 & smask) * assoc
+                        ptg1 = bn1 >> sbits
+                        pw = 0
+                        while pw < assoc:
+                            pgi = psb + pw
+                            if (pfl[pgi] & 3) and ptg[pgi] == ptg1:
+                                return True
+                            pw += 1
+                        i2 += 1
+            return False
+
+        def plan_round(rb: int, tg2: int, txns: list) -> list | None:
+            # Screen a bus round without side effects: *txns* is
+            # ``[(pblock, op)]``, every pblock in level-2 block
+            # (rb, tg2).  Each peer is probed as ``_snoop_shielded`` or
+            # ``_snoop_unshielded`` would probe it.  Returns
+            # ``[(pblock, op, snoops)]`` for :func:`bus_round`, one
+            # snoop ``(peer, subentry index or -1, level-1 hits)`` per
+            # peer that reacts, or None (the caller bails) for a peer's
+            # buffer bit or buffered write-back, for what the scalar
+            # path rejects (two suppliers, an invalidation of a dirty
+            # copy, a missing v-pointer), and for a peer holding the
+            # block in two ways: an invalidation that empties the first
+            # would expose the second to the round's later lookups.
+            ways = []
+            for _, prtg, prfl, _, _, _, _, _, _, _ in peers:
+                pw1 = -1
+                pw = 0
+                while pw < assoc2:
+                    pgi = rb + pw
+                    if (prfl[pgi] & 1) and prtg[pgi] == tg2:
+                        if pw1 >= 0:
+                            return None
+                        pw1 = pgi
+                    pw += 1
+                ways.append(pw1)
+            plan = []
+            for pb, op in txns:
+                snoops = []
+                suppliers = 0
+                for peer, pw1 in zip(peers, ways):
+                    _, _, _, psfl, _, pvpc, _, _, pl1s, pwb = peer
+                    psg = pw1 * n_sub + (pb & nsm1)
+                    if pw1 < 0 or not (psfl[psg] & _S_VALID):
+                        psg = -1
+                    if incl:
+                        if psg < 0:
+                            continue  # shielded: no copy, no reaction
+                        pf = psfl[psg]
+                        if pf & _S_BUF:
+                            return None
+                        if pf & (_S_VDIRTY | _S_RDIRTY):
+                            if op == _INV:
+                                return None
+                            suppliers += 1
+                        if (pf & _S_VDIRTY and op != _INV) or (
+                            pf & _S_INCL and op != _READ
+                        ):
+                            if not 0 <= pvpc[psg] < n_l1:
+                                return None
+                        snoops.append((peer, psg, ()))
+                        continue
+                    for entry in pwb:
+                        if entry.pblock == pb:
+                            return None
+                    psb = (pb & smask) * assoc
+                    ptg1 = pb >> sbits
+                    hits = []
+                    dirty = psg >= 0 and psfl[psg] & _S_RDIRTY
+                    for half in pl1s:
+                        ptg, pfl, _, _ = half
+                        pw = 0
+                        while pw < assoc:
+                            pgi = psb + pw
+                            if (pfl[pgi] & 3) and ptg[pgi] == ptg1:
+                                hits.append((half, pgi))
+                                if pfl[pgi] & 4:
+                                    dirty = True
+                                break
+                            pw += 1
+                    if dirty:
+                        if op == _INV:
+                            return None
+                        suppliers += 1
+                    snoops.append((peer, psg, hits))
+                if suppliers > 1:
+                    return None
+                plan.append((pb, op, snoops))
+            return plan
+
+        def drop_sub(prfl: Any, psfl: Any, psvr: Any, pvpc: Any, psg: int) -> None:
+            # ``sub.reset()`` then ``rblock.refresh_valid()``.
+            psfl[psg] = 0
+            pvpc[psg] = -1
+            psvr[psg] = 0
+            base = psg - psg % n_sub
+            i2 = 0
+            while i2 < n_sub:
+                if psfl[base + i2] & _S_VALID:
+                    prfl[base // n_sub] |= 1
+                    return
+                i2 += 1
+            prfl[base // n_sub] &= 0xFE
+
+        def bus_round(pb: int, op: int, snoops: list) -> tuple[bool, int]:
+            # Commit one transaction screened by ``plan_round``, in
+            # ``Bus._complete``'s order: the bus count, each peer's
+            # snoop, then the data source.  Returns (shared, data
+            # version; -1 for an invalidation).  Every level-1 flag it
+            # changes taints that set for the peer's later references.
+            bus_counts[_BUS_KEYS[op]] += 1
+            shared = False
+            sup = -1
+            for peer, psg, hits in snoops:
+                pcounts, _, prfl, psfl, psvr, pvpc, pvps, pvpw, pl1s, _ = peer
+                if incl:
+                    shared = True
+                    pf = psfl[psg]
+                    if op != _INV:
+                        if pf & _S_VDIRTY:
+                            # Flush the level-1 child through the v-pointer.
+                            _, cfl, cvr, cts = pl1s[pvpc[psg]]
+                            cgi = pvps[psg] * assoc + pvpw[psg]
+                            pcounts["l1_coherence_flushes"] += 1
+                            sup = cvr[cgi]
+                            psvr[psg] = sup
+                            cfl[cgi] &= 0xFB
+                            cts.add(cgi - cgi % assoc)
+                            pf &= ~(_S_VDIRTY | _S_RDIRTY)
+                        elif pf & _S_RDIRTY:
+                            sup = psvr[psg]
+                            pf &= ~_S_RDIRTY
+                        pf |= _S_SHARED
+                        psfl[psg] = pf
+                    if op != _READ:
+                        if pf & _S_INCL:
+                            _, cfl, _, cts = pl1s[pvpc[psg]]
+                            cgi = pvps[psg] * assoc + pvpw[psg]
+                            cfl[cgi] = 0
+                            cts.add(cgi - cgi % assoc)
+                            pcounts["l1_coherence_invalidations"] += 1
+                        drop_sub(prfl, psfl, psvr, pvpc, psg)
+                    continue
+                pcounts["l1_coherence_probes"] += 1
+                if hits or psg >= 0:
+                    shared = True
+                if op != _INV:
+                    psup = -1
+                    for (_, hfl, hvr, hts), pgi in hits:
+                        if hfl[pgi] & 4:
+                            psup = hvr[pgi]
+                            hfl[pgi] &= 0xFB
+                            hts.add(pgi - pgi % assoc)
+                            break
+                    if psg >= 0:
+                        pf = psfl[psg]
+                        if psup < 0 and pf & _S_RDIRTY:
+                            psup = psvr[psg]
+                        if psup >= 0:
+                            psvr[psg] = psup
+                        psfl[psg] = (pf & ~_S_RDIRTY) | _S_SHARED
+                    if psup >= 0:
+                        sup = psup
+                if op != _READ:
+                    for (_, hfl, _, hts), pgi in hits:
+                        hfl[pgi] = 0
+                        hts.add(pgi - pgi % assoc)
+                    if psg >= 0:
+                        drop_sub(prfl, psfl, psvr, pvpc, psg)
+            if op == _INV:
+                return shared, -1
+            if sup >= 0:
+                # A dirty peer supplied: memory takes the data too.
+                mem_counts["writes"] += 1
+                mv[pb] = sup
+                bus_counts["cache_to_cache"] += 1
+                return shared, sup
+            mem_counts["reads"] += 1
+            return shared, mvget(pb, 0)
+
         def fmiss(j: int, k: int) -> bool:
+            nonlocal why
             pid = pid_l[j]
             vad = vad_l[j]
             lv = 1 if (split and k) else 0
@@ -587,12 +820,15 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, int]]:
                 # Level-1 hit: only the clean-write shape is native
                 # (reads that land here were bailed for other reasons).
                 if k != 2 or (f & 4):
+                    why = "l1-hit"
                     return False
                 if incl:
                     rs = grs[lv][g]
                     if rs < 0:
+                        why = "orphan"
                         return False
-                    sg = (rs * assoc2 + grw[lv][g]) * n_sub + grb[lv][g]
+                    rg = rs * assoc2 + grw[lv][g]
+                    sg = rg * n_sub + grb[lv][g]
                 else:
                     # No inclusion: the r-pointer may name a reused
                     # slot, so the parent is found by tag, as
@@ -610,10 +846,23 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, int]]:
                         w2 += 1
                     # An orphan (no valid parent) issues an INVALIDATE.
                     if sg < 0 or not (sfl[sg] & _S_VALID):
+                        why = "orphan"
                         return False
+                plan = None
                 if sfl[sg] & _S_SHARED:
-                    return False
-                # -- commit: clean write hit on a private block --
+                    # The write invalidates every peer copy first.
+                    if incl:
+                        rb = rs * assoc2
+                        tg2 = rtg[rg]
+                        pb = (((tg2 << sbits2) | rs) << bbits2) >> sub_bits
+                        pb += grb[lv][g]
+                    else:
+                        pb = key >> sub_bits
+                    plan = plan_round(rb, tg2, [(pb, _INV)])
+                    if plan is None:
+                        why = "shared-write"
+                        return False
+                # -- commit: clean write hit --
                 refs_l[c] += 1
                 cd = cnt_l[c] - 1
                 if cd:
@@ -636,6 +885,9 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, int]]:
                     gacc[lv](sb // assoc, g - sb)
                 v = vn[0]
                 vn[0] = v + 1
+                if plan is not None:
+                    bus_round(*plan[0])
+                    sfl[sg] &= ~_S_SHARED
                 fl[g] = f | 4
                 if incl:
                     sfl[sg] |= _S_VDIRTY
@@ -674,13 +926,14 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, int]]:
                     break
                 w2 += 1
             l2_hit = False
+            shared_fill = False
             if rg >= 0:
                 sf = sfl[rg * n_sub + si]
                 if sf & _S_VALID:
                     if sf & (_S_INCL | _S_BUF):
+                        why = "synonym" if sf & _S_INCL else "wb-cancel"
                         return False
-                    if k == 2 and (sf & _S_SHARED):
-                        return False
+                    shared_fill = k == 2 and (sf & _S_SHARED) != 0
                     l2_hit = True
             pb = paddr >> sub_bits
             if not incl:
@@ -689,40 +942,32 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, int]]:
                 # block is cancelled and restored (``_place_in_l1``).
                 for entry in wdeq:
                     if entry.pblock == pb:
+                        why = "wb-cancel"
                         return False
             base_pb = pb & nsub_mask
-            if not l2_hit:
-                # A fill must arrive private and read from memory: any
-                # peer holding the level-2 block (any valid subentry
-                # replies has-copy to some sub-block's read) bails.
-                # Without inclusion every transaction also probes the
-                # peer's level-1 halves (valid or swapped, by physical
-                # tag) and write buffer (``_snoop_unshielded``).
-                for prtg, prfl, pl1s, pwb in peers:
-                    pw = 0
-                    while pw < assoc2:
-                        pgi = rb + pw
-                        if (prfl[pgi] & 1) and prtg[pgi] == tg2:
-                            return False
-                        pw += 1
-                    if incl:
-                        continue
-                    for entry in pwb:
-                        if entry.pblock & nsub_mask == base_pb:
-                            return False
-                    for ptg, pfl in pl1s:
-                        i2 = 0
-                        while i2 < n_sub:
-                            bn1 = base_pb + i2
-                            psb = (bn1 & smask) * assoc
-                            ptg1 = bn1 >> sbits
-                            pw = 0
-                            while pw < assoc:
-                                pgi = psb + pw
-                                if (pfl[pgi] & 3) and ptg[pgi] == ptg1:
-                                    return False
-                                pw += 1
-                            i2 += 1
+            plan = None
+            inval = None
+            if shared_fill:
+                # A write filling a SHARED sub-block invalidates every
+                # peer copy after the fill.
+                inval = plan_round(rb, tg2, [(pb, _INV)])
+                if inval is None:
+                    why = "shared-fill"
+                    return False
+            elif not l2_hit and held_by_peer(rb, tg2, base_pb):
+                # The fill meets peer copies: one bus round per
+                # sub-block, the written one read-modified-write.
+                plan = plan_round(
+                    rb,
+                    tg2,
+                    [
+                        (base_pb + i2, _RMW if k == 2 and i2 == si else _READ)
+                        for i2 in range(n_sub)
+                    ],
+                )
+                if plan is None:
+                    why = "peer-copy"
+                    return False
             # -- commit --
             refs_l[c] += 1
             cd = cnt_l[c] - 1
@@ -838,24 +1083,39 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, int]]:
                                 mv[pb2] = svr[sg2]
                         i2 += 1
                     rfl[rvg] = 0
-                # Fill every subentry from memory (no peer copies).
-                # Without inclusion each transaction probes every peer.
-                if not incl:
-                    for pcounts in peer_counts:
-                        pcounts["l1_coherence_probes"] += n_sub
-                i2 = 0
-                while i2 < n_sub:
-                    pb2 = base_pb + i2
-                    if k == 2 and i2 == si:
-                        bus_counts["read_modified_write"] += 1
-                    else:
-                        bus_counts["read_miss"] += 1
-                    mem_counts["reads"] += 1
-                    sg2 = sbase2 + i2
-                    sfl[sg2] = 1
-                    vpc[sg2] = -1
-                    svr[sg2] = mvget(pb2, 0)
-                    i2 += 1
+                if plan is None:
+                    # Fill every subentry from memory (no peer copies).
+                    # Without inclusion each transaction probes every
+                    # peer.
+                    if not incl:
+                        for pcounts in peer_counts:
+                            pcounts["l1_coherence_probes"] += n_sub
+                    i2 = 0
+                    while i2 < n_sub:
+                        pb2 = base_pb + i2
+                        if k == 2 and i2 == si:
+                            bus_counts["read_modified_write"] += 1
+                        else:
+                            bus_counts["read_miss"] += 1
+                        mem_counts["reads"] += 1
+                        sg2 = sbase2 + i2
+                        sfl[sg2] = 1
+                        vpc[sg2] = -1
+                        svr[sg2] = mvget(pb2, 0)
+                        i2 += 1
+                else:
+                    # A sub-block arrives SHARED when a peer kept a
+                    # copy of a plain read (a read-modified-write
+                    # leaves none).
+                    for txn in plan:
+                        shared, ver = bus_round(*txn)
+                        sg2 = sbase2 + (txn[0] & nsm1)
+                        if shared and txn[1] == _READ:
+                            sfl[sg2] = _S_VALID | _S_SHARED
+                        else:
+                            sfl[sg2] = _S_VALID
+                        vpc[sg2] = -1
+                        svr[sg2] = ver
                 rtg[rvg] = tg2
                 rfl[rvg] = 1
                 if multi2:
@@ -923,6 +1183,9 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, int]]:
             if k == 2:
                 v = vn[0]
                 vn[0] = v + 1
+                if inval is not None:
+                    bus_round(*inval[0])
+                    sfl[sg] &= ~_S_SHARED
                 fl[vg] = 5
                 if incl:
                     sfl[sg] |= _S_VDIRTY
@@ -1180,4 +1443,8 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, int]]:
         del log[:]
     for log in evls:
         del log[:]
-    return sum(refs_l) - refs0, {"escapes": meter[0], "native": meter[1]}
+    return sum(refs_l) - refs0, {
+        "escapes": meter[0],
+        "native": meter[1],
+        "escapes_by": dict(sorted(escapes_by.items())),
+    }

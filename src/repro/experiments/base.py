@@ -310,6 +310,27 @@ def trace_stream(name: str, scale: float):
     return stream, _workload_layout(name, scale), get_spec(name, scale).n_cpus
 
 
+def simulation_config(
+    l1_size: str,
+    l2_size: str,
+    kind: HierarchyKind,
+    split_l1: bool = False,
+    block_size: str | int = 16,
+    config_overrides: tuple[tuple[str, object], ...] = (),
+) -> HierarchyConfig:
+    """The hierarchy configuration :func:`simulate` replays for these
+    arguments: :meth:`HierarchyConfig.sized` with *config_overrides*
+    applied."""
+    return HierarchyConfig.sized(
+        l1_size,
+        l2_size,
+        block_size=block_size,
+        kind=kind,
+        split_l1=split_l1,
+        **dict(config_overrides),
+    )
+
+
 def simulation_key(
     trace_name: str,
     scale: float,
@@ -432,13 +453,8 @@ def simulate(
         # simulation of the run that needs it, streamed by all.
         stream, layout, n_cpus = trace_stream(trace_name, scale)
     trace_gen_s = perf_counter() - gen_started
-    config = HierarchyConfig.sized(
-        l1_size,
-        l2_size,
-        block_size=block_size,
-        kind=kind,
-        split_l1=split_l1,
-        **dict(config_overrides),
+    config = simulation_config(
+        l1_size, l2_size, kind, split_l1, block_size, config_overrides
     )
 
     injector = None

@@ -58,7 +58,9 @@ class SimulationResult:
             (empty on results restored from pre-observability caches).
         walker: the replay walker's meter, ``{"escapes": references
             sent to ``TwoLevelHierarchy.access``, "native": references
-            its native miss handlers committed}``; empty when the
+            its native miss handlers committed, "escapes_by": the
+            escapes by the native screen's bail reason, ``gate`` for
+            a run outside the native gate}``; empty when the
             walker did not replay the run (the scalar loop, guarded
             runs) and on results assembled from several runs
             (checkpointed replay).  Like *timings*, it describes how
@@ -71,7 +73,7 @@ class SimulationResult:
     refs_processed: int = 0
     timings: dict[str, float] = field(default_factory=dict)
     tlb_per_cpu: list[dict[str, int]] = field(default_factory=list)
-    walker: dict[str, int] = field(default_factory=dict)
+    walker: dict[str, Any] = field(default_factory=dict)
 
     def aggregate(self) -> HierarchyStats:
         """Machine-wide statistics (sum over CPUs)."""
@@ -216,7 +218,7 @@ class Multiprocessor:
         # state (repro-lint RPS102 pragmas mark each read).
         started = perf_counter()  # rps: ignore[RPS102]
         guard_seconds = 0.0
-        walker: dict[str, int] = {}
+        walker: dict[str, Any] = {}
         if (
             injector is None
             and guard is None
@@ -262,7 +264,7 @@ class Multiprocessor:
         self,
         refs: int,
         timings: dict[str, float],
-        walker: dict[str, int] | None = None,
+        walker: dict[str, Any] | None = None,
     ) -> SimulationResult:
         return SimulationResult(
             per_cpu=[hier.stats for hier in self.hierarchies],

@@ -173,9 +173,10 @@ class TestSimulationResult:
         records = tiny_workload.records()
         walked = small_machine(tiny_workload, kind).run(records)
         meter = walked.walker
-        assert sorted(meter) == ["escapes", "native"]
+        assert sorted(meter) == ["escapes", "escapes_by", "native"]
         assert meter["native"] > 0
         assert meter["escapes"] + meter["native"] <= walked.refs_processed
+        assert sum(meter["escapes_by"].values()) == meter["escapes"]
         scalar = small_machine(tiny_workload, kind).run_scalar(records)
         checked = small_machine(tiny_workload, kind).run(
             records, check_values=True
