@@ -83,8 +83,8 @@ class Bus:
         self.stats = CounterBag()
         self._snoopers: list[Snooper] = []
         # Called after each completed transaction (coherence boundary);
-        # the invariant guard hooks in here.  One observer suffices —
-        # it is installed by whoever owns the machine.
+        # the invariant guard hooks in here for the length of a guarded
+        # run.  One observer suffices.
         self.observer: Callable[[BusTransaction], None] | None = None
 
     def attach(self, snooper: Snooper) -> int:

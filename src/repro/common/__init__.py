@@ -1,7 +1,6 @@
 """Shared utilities: sizes, errors, counters."""
 
 from .errors import (
-    BusFaultError,
     CheckpointError,
     ConfigurationError,
     InclusionError,
@@ -15,7 +14,6 @@ from .params import format_size, is_power_of_two, log2_exact, parse_size
 from .stats import CounterBag, IntervalHistogram, ratio
 
 __all__ = [
-    "BusFaultError",
     "CheckpointError",
     "ConfigurationError",
     "CounterBag",

@@ -6,8 +6,8 @@ swallowing programming errors such as :class:`TypeError`.
 
 Errors that describe a corrupted simulation state carry structured
 *context* — at minimum the access index at which the problem surfaced
-and the offending physical block — so a fault-injection harness (or a
-bug report) can pinpoint the failure without parsing the message.
+and the offending physical block — so a test (or a bug report) can
+pinpoint the failure without parsing the message.
 """
 
 from __future__ import annotations
@@ -83,17 +83,20 @@ class IntegrityError(ReproError):
     """The runtime invariant guard detected corrupted metadata.
 
     Unlike :class:`InclusionError` (raised by offline checkers between
-    runs), this is raised *mid-simulation* by the fault-injection
-    guard and carries enough forensic context to reproduce and debug:
+    runs), this is raised *mid-simulation* by the runtime invariant
+    guard (``repro.faults.guard``) and carries enough forensic context
+    to reproduce and debug:
 
     Attributes:
         access_index: memory reference count when the corruption was
-            detected.
-        address: address being accessed when detection triggered (or
-            None for checks at coherence boundaries).
-        violations: the invariant violations found, as rendered strings.
-        snapshot: a tag-store snapshot of the affected sets (plain
-            data; see ``repro.faults.checkpoint``).
+            detected (None for a check at a coherence boundary).
+        address: the virtual address being accessed when detection
+            triggered, or for a check at a coherence boundary the
+            physical address of the transaction's block.
+        violations: the invariant violations found (the checker's
+            ``Violation`` records).
+        snapshot: the contents of every affected set, block by block,
+            rendered as strings.
     """
 
     def __init__(
@@ -101,7 +104,7 @@ class IntegrityError(ReproError):
         message: str,
         access_index: int | None = None,
         address: int | None = None,
-        violations: list[str] | None = None,
+        violations: list[Any] | None = None,
         snapshot: dict[str, Any] | None = None,
     ) -> None:
         super().__init__(message, access_index=access_index, address=address)
@@ -109,15 +112,6 @@ class IntegrityError(ReproError):
         self.address = address
         self.violations = violations or []
         self.snapshot = snapshot or {}
-
-
-class BusFaultError(ReproError):
-    """A bus transaction could not complete despite bounded retries.
-
-    Raised by the fault-injecting bus when a transaction is dropped
-    more times than the retry budget allows — modelling a bus that has
-    degraded past the point graceful retry can mask.
-    """
 
 
 class CheckpointError(ReproError):

@@ -28,7 +28,6 @@ from typing import Any
 import numpy as np
 
 from ..cache.write_buffer import WriteBufferEntry
-from ..coherence.bus import Bus
 from ..common.errors import InclusionError, ProtocolError
 from ..hierarchy.rcache import (
     S_BUF as _S_BUF,
@@ -415,13 +414,11 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
     # write-update, bus observers, event tracers).  Once the screen
     # passes, the commit phase replicates ``TwoLevelHierarchy.access``
     # mutation-for-mutation and counter-for-counter.  The bus round
-    # stands in for ``Bus.issue``, so a bus that overrides it (the
-    # fault-injecting ``FaultyBus``) keeps every miss on the scalar
-    # path.
+    # stands in for ``Bus.issue``, which would call the bus observer,
+    # so an observed bus keeps every miss on the scalar path.
     native = (
         not wt
         and not h0._update_protocol
-        and type(machine.bus) is Bus
         and machine.bus.observer is None
         and all(
             h._tr_syn is None

@@ -26,14 +26,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from time import perf_counter
 
-from ..faults import (
-    FaultConfig,
-    FaultInjector,
-    FaultKind,
-    FaultyBus,
-    InvariantGuard,
-    run_checkpointed,
-)
+from ..faults import InvariantGuard, run_checkpointed
 from ..hierarchy.config import HierarchyConfig, HierarchyKind
 from ..mmu.address_space import MemoryLayout
 from ..obs import get_tracer
@@ -94,17 +87,13 @@ class ExperimentResult:
 class RunOptions:
     """Cross-cutting options applied to every simulation of a run.
 
-    Set from the CLI (``--check-every``, ``--guard-policy``,
-    ``--checkpoint`` …) via :func:`set_run_options`; the defaults are
-    a plain unguarded run, so existing callers are unaffected.
+    Set from the CLI (``--check-every``, ``--checkpoint`` …) via
+    :func:`set_run_options`; the defaults are a plain unguarded run,
+    so existing callers are unaffected.
 
     Attributes:
         check_every: run the invariant guard every N accesses
             (None disables the guard).
-        guard_policy: "fail-fast", "repair" or "log".
-        fault_rate: per-access probability for each metadata fault
-            kind (0 disables injection).
-        fault_seed: seed of the fault injector's RNG.
         checkpoint_dir: directory for checkpoint files; enables
             resumable replay (None disables it).
         checkpoint_every: trace records replayed between checkpoints.
@@ -121,9 +110,6 @@ class RunOptions:
     """
 
     check_every: int | None = None
-    guard_policy: str = "fail-fast"
-    fault_rate: float = 0.0
-    fault_seed: int = 0
     checkpoint_dir: str | None = None
     checkpoint_every: int = 50_000
     cache_dir: str | None = None
@@ -140,9 +126,6 @@ class RunOptions:
         """
         return (
             self.check_every,
-            self.guard_policy,
-            self.fault_rate,
-            self.fault_seed,
             self.checkpoint_dir is not None,
             self.checkpoint_every,
             self.trace_provenance,
@@ -163,16 +146,6 @@ def set_run_options(options: RunOptions) -> RunOptions:
 def get_run_options() -> RunOptions:
     """The options currently applied to simulations."""
     return _run_options
-
-
-#: Metadata fault kinds --fault-rate spreads its probability over.
-_INJECTED_KINDS = (
-    FaultKind.FLIP_INCLUSION,
-    FaultKind.FLIP_VDIRTY,
-    FaultKind.FLIP_L1_DIRTY,
-    FaultKind.CORRUPT_V_POINTER,
-    FaultKind.CORRUPT_TLB,
-)
 
 
 _trace_cache: OrderedDict[
@@ -396,11 +369,10 @@ def simulate(
     """Run (or reuse) one full-machine simulation.
 
     Honours the installed :class:`RunOptions`: an invariant guard
-    every ``check_every`` accesses, seeded metadata fault injection,
-    checkpointed (resumable) replay, and — when ``cache_dir`` is set —
-    a persistent result cache fronted by the in-process memo.  The
-    memo key includes the options, so guarded and unguarded results
-    never mix.
+    every ``check_every`` accesses, checkpointed (resumable) replay,
+    and — when ``cache_dir`` is set — a persistent result cache
+    fronted by the in-process memo.  The memo key includes the
+    options, so guarded and unguarded results never mix.
 
     *config_overrides* is a sorted tuple of ``(field, value)`` pairs
     applied on top of :meth:`HierarchyConfig.sized` — the ablation
@@ -456,25 +428,12 @@ def simulate(
     config = simulation_config(
         l1_size, l2_size, kind, split_l1, block_size, config_overrides
     )
-
-    injector = None
-    bus = None
-    if options.fault_rate > 0.0:
-        injector = FaultInjector(
-            FaultConfig(
-                probabilities={
-                    k: options.fault_rate for k in _INJECTED_KINDS
-                },
-                seed=options.fault_seed,
-            )
-        )
-        bus = FaultyBus(injector)
     guard = None
     if options.check_every is not None:
-        guard = InvariantGuard(options.guard_policy, options.check_every)
+        guard = InvariantGuard(options.check_every)
 
     build_started = perf_counter()
-    machine = Multiprocessor(layout, n_cpus, config, seed=seed, bus=bus)
+    machine = Multiprocessor(layout, n_cpus, config, seed=seed)
     build_s = perf_counter() - build_started
     if options.checkpoint_dir is not None:
         os.makedirs(options.checkpoint_dir, exist_ok=True)
@@ -492,11 +451,10 @@ def simulate(
             path,
             key=tuple(repr(part) for part in key),
             chunk=options.checkpoint_every,
-            injector=injector,
             guard=guard,
         )
     else:
-        result = machine.run(stream, injector=injector, guard=guard)
+        result = machine.run(stream, guard=guard)
     result.timings["trace_gen_s"] = trace_gen_s
     result.timings["build_s"] = build_s
     _executed_simulations += 1

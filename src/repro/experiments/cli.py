@@ -14,9 +14,10 @@ only what changed; ``--no-cache`` forces everything to recompute.
 Robustness options::
 
     repro-experiment table6 --check-every 100           # invariant guard
-    repro-experiment table6 --fault-rate 1e-3 \\
-        --check-every 100 --guard-policy repair          # inject + repair
     repro-experiment all --checkpoint /tmp/ckpt          # resumable replay
+
+A guarded run checks the hierarchy's structural invariants as it
+replays and exits 1 with an ``IntegrityError`` at the first violation.
 
 Parallel runs fail fast: the first simulation that raises stops the
 worker pool and the run exits 1 with its traceback, as a ``--jobs 1``
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -90,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "trace scale relative to the paper's trace lengths "
-            f"(default {default_scale()} or $REPRO_SCALE; 1.0 = full)"
+            "(default: $REPRO_SCALE, else 0.1; 1.0 = full)"
         ),
     )
     runner = parser.add_argument_group("execution")
@@ -126,26 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         default=None,
-        help="run the invariant guard every N accesses (off by default)",
-    )
-    guard.add_argument(
-        "--guard-policy",
-        choices=["fail-fast", "repair", "log"],
-        default="fail-fast",
-        help="what the guard does on a violation (default: fail-fast)",
-    )
-    guard.add_argument(
-        "--fault-rate",
-        type=float,
-        metavar="P",
-        default=0.0,
-        help="inject each metadata fault kind with per-access probability P",
-    )
-    guard.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="seed of the fault injector's RNG (default: 0)",
+        help=(
+            "run the invariant guard every N accesses; it stops the run "
+            "at the first violation (off by default)"
+        ),
     )
     guard.add_argument(
         "--checkpoint",
@@ -278,6 +264,16 @@ def _write_outputs(
     logger.info("run manifest: %s", manifest_path)
 
 
+def _effective_scale(args: argparse.Namespace) -> float | None:
+    """The run's trace scale, or None when it is not a finite number
+    above zero (a malformed ``$REPRO_SCALE`` included)."""
+    try:
+        scale = args.scale if args.scale is not None else default_scale()
+    except ValueError:
+        return None
+    return scale if math.isfinite(scale) and scale > 0 else None
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run the CLI; returns a process exit code."""
     args = build_parser().parse_args(argv)
@@ -288,8 +284,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.checkpoint_every < 1:
         logger.error("--checkpoint-every must be >= 1")
         return 2
-    if not 0.0 <= args.fault_rate <= 1.0:
-        logger.error("--fault-rate must be a probability in [0, 1]")
+    scale = _effective_scale(args)
+    if scale is None:
+        logger.error("--scale (or $REPRO_SCALE) must be a finite number > 0")
         return 2
     if args.jobs is not None and args.jobs < 1:
         logger.error("--jobs must be >= 1")
@@ -307,7 +304,6 @@ def main(argv: list[str] | None = None) -> int:
         sink = open(trace_path, "w", encoding="utf-8")
         tracer = EventTracer(categories, sink=sink)
     ids = experiment_ids() if args.experiment == "all" else [args.experiment]
-    scale = args.scale if args.scale is not None else default_scale()
     cache_dir = args.cache_dir
     if args.no_cache:
         cache_dir = None
@@ -317,9 +313,6 @@ def main(argv: list[str] | None = None) -> int:
         cache_dir = default_cache_dir()
     options = RunOptions(
         check_every=args.check_every,
-        guard_policy=args.guard_policy,
-        fault_rate=args.fault_rate,
-        fault_seed=args.fault_seed,
         checkpoint_dir=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         cache_dir=cache_dir,

@@ -216,8 +216,6 @@ def export_machine(
     position: int,
     refs: int,
     key: tuple | None = None,
-    injector: Any = None,
-    guard: Any = None,
 ) -> dict:
     """Snapshot a whole machine plus the trace position."""
     state = {
@@ -236,19 +234,10 @@ def export_machine(
     # resume would re-allocate frames in resume order and diverge.
     if hasattr(machine.layout, "export_state"):
         state["layout"] = machine.layout.export_state()
-    if injector is not None:
-        state["injector"] = injector.export_state()
-    if guard is not None:
-        state["guard"] = guard.export_state()
     return state
 
 
-def restore_machine(
-    machine: Multiprocessor,
-    state: dict,
-    injector: Any = None,
-    guard: Any = None,
-) -> tuple[int, int]:
+def restore_machine(machine: Multiprocessor, state: dict) -> tuple[int, int]:
     """Restore *machine* in place; returns (trace position, refs done)."""
     if len(state["hierarchies"]) != machine.n_cpus:
         raise CheckpointError(
@@ -262,10 +251,6 @@ def restore_machine(
     machine.bus.stats.restore_state(state["bus_stats"])
     for hier, hier_state in zip(machine.hierarchies, state["hierarchies"]):
         restore_hierarchy(hier, hier_state)
-    if injector is not None and "injector" in state:
-        injector.restore_state(state["injector"])
-    if guard is not None and "guard" in state:
-        guard.restore_state(state["guard"])
     return state["position"], state["refs"]
 
 
@@ -330,7 +315,6 @@ def run_checkpointed(
     key: tuple | None = None,
     chunk: int = 50_000,
     check_values: bool = False,
-    injector: Any = None,
     guard: Any = None,
     on_chunk: Callable[[int], None] | None = None,
 ) -> SimulationResult:
@@ -348,6 +332,9 @@ def run_checkpointed(
     and the run restarts from the trace beginning; only a *valid*
     checkpoint recorded under a different key is a hard error.  On
     successful completion the checkpoint file is deleted.
+    *check_values* and *guard* are passed to every chunk's
+    :meth:`Multiprocessor.run`; a checkpoint holds no guard state, so
+    a resumed guard paces its checks from the resume point.
     *on_chunk* is called with the trace position after each saved
     chunk — the test suite uses it to kill the run mid-trace.
     """
@@ -382,9 +369,7 @@ def run_checkpointed(
                     f"checkpoint {path} belongs to a different run: "
                     f"{state['key']} != {key}"
                 )
-            position, refs_done = restore_machine(
-                machine, state, injector=injector, guard=guard
-            )
+            position, refs_done = restore_machine(machine, state)
     cursor: TraceCursor | StreamCursor
     if isinstance(records, TraceStream):
         cursor = StreamCursor(records, position)
@@ -394,21 +379,12 @@ def run_checkpointed(
         result = machine.run(
             batch,
             check_values=check_values,
-            injector=injector,
             guard=guard,
             ref_offset=refs_done,
         )
         refs_done += result.refs_processed
         save_checkpoint(
-            path,
-            export_machine(
-                machine,
-                cursor.position,
-                refs_done,
-                key=key,
-                injector=injector,
-                guard=guard,
-            ),
+            path, export_machine(machine, cursor.position, refs_done, key=key)
         )
         if on_chunk is not None:
             on_chunk(cursor.position)

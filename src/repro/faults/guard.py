@@ -1,4 +1,4 @@
-"""Runtime invariant guard with configurable recovery policies.
+"""Runtime invariant guard: fail fast on corrupted metadata.
 
 The guard watches a running machine and periodically re-establishes
 the structural invariants of DESIGN.md §5 using the incremental scans
@@ -15,86 +15,44 @@ in ``repro.hierarchy.checker``:
   state is legitimately half-updated — so its set is only marked
   pending and scanned at the next access boundary.
 
-On detection the configured :class:`GuardPolicy` applies:
-
-``fail-fast``
-    raise :class:`IntegrityError` carrying the access index, the
-    faulting address, every violation and a snapshot of the affected
-    tag-store sets.
-``repair``
-    surgically detach the corrupted linkage — invalidate affected
-    level-1 children, clear inclusion bits (converting a claimed
-    vdirty into rdirty so dirtiness is never silently dropped),
-    reconcile buffer bits against the write buffer, scrub poisoned
-    TLB entries — then re-scan to prove the repair took (escalating
-    to :class:`IntegrityError` if not) and replay the access.
-``log``
-    record the violations (``logging`` channel ``repro.faults`` and
-    the :attr:`InvariantGuard.incidents` list) and continue.
+The first scan that finds a violation raises :class:`IntegrityError`
+carrying the access index, the faulting address, every violation and
+a snapshot of the affected tag-store sets.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import Any
-
 from ..coherence.bus import Bus
 from ..coherence.messages import BusTransaction
-from ..common.errors import InclusionError, IntegrityError, ProtocolError
+from ..common.errors import IntegrityError
 from ..hierarchy.checker import (
     Violation,
     scan_buffer_bits,
     scan_hierarchy,
     scan_l1_set,
     scan_l2_set,
-    scan_single_copy,
     scan_tlb,
 )
-from ..hierarchy.twolevel import AccessResult, TwoLevelHierarchy
+from ..hierarchy.twolevel import TwoLevelHierarchy
 from ..obs import get_tracer
-from ..obs.log import get_logger
 from ..trace.record import RefKind
-
-logger = get_logger("faults")
-
-
-class GuardPolicy(enum.Enum):
-    """What the guard does when it detects an invariant violation."""
-
-    FAIL_FAST = "fail-fast"
-    REPAIR = "repair"
-    LOG = "log"
 
 
 class InvariantGuard:
-    """Incremental invariant checking with recovery for one machine.
+    """Incremental invariant checking for one machine.
 
     One guard serves every hierarchy on the bus; install it with
     :meth:`watch` (``Multiprocessor.run(guard=...)`` does this for
-    you).
-
-    Attributes:
-        incidents: ``(access_index, Violation)`` pairs recorded under
-            the ``log`` policy (and kept under ``repair`` too, as an
-            audit trail of what was fixed).
+    you, and uninstalls it when the run ends).
     """
 
-    def __init__(
-        self,
-        policy: GuardPolicy | str = GuardPolicy.FAIL_FAST,
-        check_every: int = 1000,
-        full_every: int = 16,
-    ) -> None:
-        if not isinstance(policy, GuardPolicy):
-            policy = GuardPolicy(policy)
+    def __init__(self, check_every: int = 1000, full_every: int = 16) -> None:
         if check_every < 1:
             raise ValueError(f"check_every must be >= 1, got {check_every}")
         if full_every < 1:
             raise ValueError(f"full_every must be >= 1, got {full_every}")
-        self.policy = policy
         self.check_every = check_every
         self.full_every = full_every
-        self.incidents: list[tuple[int, Violation]] = []
         tracer = get_tracer()
         # Pre-resolved "guard" category slot (see TwoLevelHierarchy
         # .set_tracer for the pattern): None when untraced.
@@ -110,11 +68,10 @@ class InvariantGuard:
     # -- installation -------------------------------------------------------
 
     def watch(self, bus: Bus, hierarchies: list[TwoLevelHierarchy]) -> None:
-        """Attach to *bus* and *hierarchies* (idempotent)."""
+        """Attach to *bus* and *hierarchies* (idempotent: a checkpointed
+        run watches again for every chunk and keeps its pacing)."""
         for hier in hierarchies:
             self._hierarchies[hier.cpu] = hier
-            # setdefault: a resumed run restores pacing state *before*
-            # watch() runs again, and must not have it clobbered.
             self._touched.setdefault(hier.cpu, set())
             self._counts.setdefault(hier.cpu, 0)
             self._checks.setdefault(hier.cpu, 0)
@@ -133,7 +90,7 @@ class InvariantGuard:
             violations = scan_l2_set(hier, l2_set)
             violations.extend(self._scan_buffer_block(hier, txn.pblock))
             if violations:
-                self._handle(hier, violations, None, address)
+                self._fail(hier, violations, None, address)
 
     @staticmethod
     def _scan_buffer_block(
@@ -168,12 +125,8 @@ class InvariantGuard:
         vaddr: int,
         kind: RefKind,
         access_index: int,
-    ) -> AccessResult | None:
-        """Mark the touched sets and run any due check.
-
-        Returns a replacement :class:`AccessResult` when the ``repair``
-        policy replayed the access, else None.
-        """
+    ) -> None:
+        """Mark the sets the access touched and run any due check."""
         cpu = hier.cpu
         touched = self._touched.setdefault(cpu, set())
         l1 = hier.l1_for(kind)
@@ -187,7 +140,7 @@ class InvariantGuard:
 
         self._counts[cpu] = self._counts.get(cpu, 0) + 1
         if self._counts[cpu] % self.check_every:
-            return None
+            return
         self._checks[cpu] = self._checks.get(cpu, 0) + 1
         if self._checks[cpu] % self.full_every == 0:
             violations = scan_hierarchy(hier)
@@ -196,78 +149,8 @@ class InvariantGuard:
             violations.extend(scan_buffer_bits(hier))
             violations.extend(scan_tlb(hier))
         touched.clear()
-        if not violations:
-            return None
-        repaired = self._handle(hier, violations, access_index, vaddr)
-        if not repaired:
-            return None
-        hier.stats.counters.add("repair_replays")
-        if self._tr_guard is not None:
-            self._tr_guard.emit(
-                "guard", "replay", cpu=hier.cpu, access_index=access_index
-            )
-        return hier.access(pid, vaddr, kind)
-
-    def on_access_error(
-        self,
-        hier: TwoLevelHierarchy,
-        pid: int,
-        vaddr: int,
-        kind: RefKind,
-        access_index: int,
-    ) -> AccessResult | None:
-        """Recover from a structural error the hierarchy itself raised.
-
-        Corruption injected between two guard checks can be tripped
-        over by the hierarchy's own runtime validation (an
-        :class:`InclusionError` or :class:`ProtocolError` mid-access)
-        before the guard's next scheduled scan.  The trap may even
-        fire in a *remote* hierarchy snooping the origin's bus
-        transaction, so under the ``repair`` policy this sweeps every
-        watched hierarchy, repairs, and replays the failed access;
-        other policies return None and the caller re-raises the
-        original error.
-        """
-        if self.policy is not GuardPolicy.REPAIR:
-            return None
-        targets = list(self._hierarchies.values())
-        if hier not in targets:
-            targets.append(hier)
-        # The replay itself may trip a second corruption (injected into
-        # a different hierarchy than the one the sweep just repaired
-        # reached first), so sweep-and-replay is retried a few times
-        # before giving up.
-        for attempt in range(3):
-            for target in targets:
-                violations = scan_hierarchy(target)
-                if not violations:
-                    continue
-                target.stats.counters.add("guard_violations", len(violations))
-                self._note_violations(target, violations, access_index)
-                for violation in violations:
-                    self.incidents.append((access_index, violation))
-                self._repair(target, violations)
-                remaining = self._rescan(target, violations)
-                if remaining:
-                    raise IntegrityError(
-                        f"repair failed; {len(remaining)} violation(s) "
-                        f"persist: {remaining[0].message}",
-                        access_index=access_index,
-                        address=vaddr,
-                        violations=remaining,
-                        snapshot=self._snapshot(target, remaining),
-                    )
-            hier.stats.counters.add("repair_replays")
-            if self._tr_guard is not None:
-                self._tr_guard.emit(
-                    "guard", "replay", cpu=hier.cpu, access_index=access_index
-                )
-            try:
-                return hier.access(pid, vaddr, kind)
-            except (InclusionError, ProtocolError):
-                if attempt == 2:
-                    raise
-        return None  # pragma: no cover - loop always returns or raises
+        if violations:
+            self._fail(hier, violations, access_index, vaddr)
 
     def _scan_sites(
         self, hier: TwoLevelHierarchy, sites: set[tuple]
@@ -283,208 +166,33 @@ class InvariantGuard:
                 )
         return out
 
-    # -- policy dispatch -------------------------------------------------------
+    # -- reporting ---------------------------------------------------------------
 
-    def _handle(
+    def _fail(
         self,
         hier: TwoLevelHierarchy,
         violations: list[Violation],
         access_index: int | None,
-        address: int | None,
-    ) -> bool:
-        """Apply the policy; returns True when a replay is warranted."""
-        hier.stats.counters.add("guard_violations", len(violations))
-        self._note_violations(hier, violations, access_index)
-        if self.policy is GuardPolicy.FAIL_FAST:
-            raise IntegrityError(
-                f"{len(violations)} invariant violation(s) detected: "
-                f"{violations[0].message}",
-                access_index=access_index,
-                address=address,
-                violations=violations,
-                snapshot=self._snapshot(hier, violations),
-            )
-        index = access_index if access_index is not None else 0
-        if self.policy is GuardPolicy.LOG:
+        address: int,
+    ) -> None:
+        """Trace one event per violation, then raise."""
+        if self._tr_guard is not None:
             for violation in violations:
-                logger.warning(
-                    "invariant violation at access %s: %s", index, violation.message
-                )
-                self.incidents.append((index, violation))
-            hier.stats.counters.add("guard_logged_violations", len(violations))
-            return False
-        # REPAIR
-        for violation in violations:
-            self.incidents.append((index, violation))
-        self._repair(hier, violations)
-        logger.info(
-            "cpu %d: repaired %d violation(s) at access %s",
-            hier.cpu,
-            len(violations),
-            index,
-        )
-        remaining = self._rescan(hier, violations)
-        if remaining:
-            raise IntegrityError(
-                f"repair failed; {len(remaining)} violation(s) persist: "
-                f"{remaining[0].message}",
-                access_index=access_index,
-                address=address,
-                violations=remaining,
-                snapshot=self._snapshot(hier, remaining),
-            )
-        return access_index is not None
-
-    def _note_violations(
-        self,
-        hier: TwoLevelHierarchy,
-        violations: list[Violation],
-        access_index: int | None,
-    ) -> None:
-        """Emit one structured trace event per detected violation."""
-        if self._tr_guard is None:
-            return
-        for violation in violations:
-            self._tr_guard.emit(
-                "guard",
-                "violation",
-                cpu=hier.cpu,
-                access_index=access_index if access_index is not None else 0,
-                site=str(violation.site),
-            )
-
-    # -- repair -----------------------------------------------------------------
-
-    def _repair(
-        self, hier: TwoLevelHierarchy, violations: list[Violation]
-    ) -> None:
-        for violation in violations:
-            site = violation.site
-            if site[0] == "l2":
-                self._detach_subentry(hier, site[1], site[2], site[3])
-            elif site[0] == "l1":
-                self._drop_l1_block(hier, site[1], site[2], site[3])
-            elif site[0] == "buffer":
-                self._reconcile_buffer(hier, site[1])
-            elif site[0] == "tlb":
-                hier.tlb.scrub(site[1], site[2])
-            hier.stats.counters.add("guard_repairs")
-            if self._tr_guard is not None:
                 self._tr_guard.emit(
-                    "guard", "repair", cpu=hier.cpu, site=str(site)
+                    "guard",
+                    "violation",
+                    cpu=hier.cpu,
+                    access_index=access_index if access_index is not None else 0,
+                    site=str(violation.site),
                 )
-
-    def _detach_subentry(
-        self, hier: TwoLevelHierarchy, set_index: int, way: int, sub_index: int
-    ) -> None:
-        """Break a corrupt forward linkage, preserving dirtiness at L2."""
-        rblock = hier.rcache.store.ways(set_index)[way]
-        sub = rblock.subentries[sub_index]  # type: ignore[attr-defined]
-        child = self._deref_l1(hier, sub.v_pointer)
-        if child is not None:
-            back = (
-                tuple(child.r_pointer)
-                if isinstance(child.r_pointer, tuple)
-                else None
-            )
-            if child.present and back == (set_index, way, sub_index):
-                child.invalidate()
-        if sub.vdirty:
-            # The child's data is gone (or untrusted); keep the claim
-            # that this hierarchy holds the block modified.
-            sub.rdirty = True
-            sub.vdirty = False
-        sub.inclusion = False
-        sub.v_pointer = None
-
-    @staticmethod
-    def _deref_l1(hier: TwoLevelHierarchy, pointer: object):
-        """Dereference a v-pointer defensively; None when out of range."""
-        if not (isinstance(pointer, tuple) and len(pointer) == 3):
-            return None
-        cache_index, set_index, way = pointer
-        if not 0 <= cache_index < len(hier.l1_caches):
-            return None
-        l1 = hier.l1_caches[cache_index]
-        if not (0 <= set_index < l1.config.n_sets and 0 <= way < l1.config.associativity):
-            return None
-        return l1.store.ways(set_index)[way]
-
-    def _drop_l1_block(
-        self, hier: TwoLevelHierarchy, cache_index: int, set_index: int, way: int
-    ) -> None:
-        """Drop an orphaned or duplicated level-1 block, detaching any
-        parent subentry that still names it."""
-        if not 0 <= cache_index < len(hier.l1_caches):
-            return
-        l1 = hier.l1_caches[cache_index]
-        if not (0 <= set_index < l1.config.n_sets and 0 <= way < l1.config.associativity):
-            return
-        block = l1.store.ways(set_index)[way]
-        pointer = (
-            tuple(block.r_pointer) if isinstance(block.r_pointer, tuple) else None
+        raise IntegrityError(
+            f"{len(violations)} invariant violation(s) detected: "
+            f"{violations[0].message}",
+            access_index=access_index,
+            address=address,
+            violations=violations,
+            snapshot=self._snapshot(hier, violations),
         )
-        if pointer is not None and len(pointer) == 3:
-            r_set, r_way, r_sub = pointer
-            config = hier.rcache.config
-            if (
-                0 <= r_set < config.n_sets
-                and 0 <= r_way < config.associativity
-                and 0 <= r_sub < hier.rcache.n_subentries
-            ):
-                rblock = hier.rcache.store.ways(r_set)[r_way]
-                sub = rblock.subentries[r_sub]  # type: ignore[attr-defined]
-                if (
-                    sub.valid
-                    and sub.inclusion
-                    and sub.v_pointer == (cache_index, set_index, way)
-                ):
-                    if sub.vdirty:
-                        sub.rdirty = True
-                        sub.vdirty = False
-                    sub.inclusion = False
-                    sub.v_pointer = None
-        block.invalidate()
-
-    def _reconcile_buffer(self, hier: TwoLevelHierarchy, pblock: int) -> None:
-        """Make the buffer bit for *pblock* match the write buffer."""
-        entry = hier.write_buffer.find(pblock)
-        found = hier.rcache.lookup_sub_block(pblock)
-        if entry is not None and found is not None:
-            found[1].buffer = True
-        elif entry is not None:
-            # Orphaned buffer entry: push the data to memory so the
-            # write is not lost, then retire the entry.
-            hier.write_buffer.remove(pblock)
-            hier.bus.write_back(entry.pblock, entry.version)
-        elif found is not None:
-            found[1].buffer = False
-
-    def _rescan(
-        self, hier: TwoLevelHierarchy, violations: list[Violation]
-    ) -> list[Violation]:
-        """Re-run every scan a repair could have affected."""
-        l2_sets = {v.site[1] for v in violations if v.site[0] == "l2"}
-        l1_sets = {
-            (v.site[1], v.site[2]) for v in violations if v.site[0] == "l1"
-        }
-        # A detached subentry names an L1 set; a dropped L1 block names
-        # an L2 set.  Cheapest correct answer: re-scan both directions
-        # for every named set plus the global invariants.
-        out: list[Violation] = []
-        for set_index in sorted(l2_sets):
-            out.extend(scan_l2_set(hier, set_index))
-        for cache_index, set_index in sorted(l1_sets):
-            if 0 <= cache_index < len(hier.l1_caches):
-                out.extend(
-                    scan_l1_set(hier, hier.l1_caches[cache_index], set_index)
-                )
-        out.extend(scan_buffer_bits(hier))
-        out.extend(scan_single_copy(hier))
-        out.extend(scan_tlb(hier))
-        return out
-
-    # -- diagnostics -------------------------------------------------------------
 
     def _snapshot(
         self, hier: TwoLevelHierarchy, violations: list[Violation]
@@ -511,68 +219,3 @@ class InvariantGuard:
             elif site[0] == "tlb":
                 snap.setdefault("tlb", [repr(hier.tlb.entries())])
         return snap
-
-    # -- checkpointing -------------------------------------------------------------
-
-    def export_state(self) -> dict:
-        """Checkpointable snapshot of the guard's pacing state."""
-        return {
-            "touched": {cpu: sorted(sites) for cpu, sites in self._touched.items()},
-            "counts": dict(self._counts),
-            "checks": dict(self._checks),
-            "incidents": list(self.incidents),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore pacing state so a resumed run checks at the same points."""
-        self._touched = {
-            cpu: {tuple(site) for site in sites}
-            for cpu, sites in state["touched"].items()
-        }
-        self._counts = dict(state["counts"])
-        self._checks = dict(state["checks"])
-        self.incidents = list(state["incidents"])
-
-
-class GuardedHierarchy:
-    """A single hierarchy wrapped with fault injection and guarding.
-
-    For unit-level experiments that drive one hierarchy directly
-    (``Multiprocessor`` threads the injector and guard itself).
-    Delegates every attribute to the wrapped hierarchy, so it can
-    stand in wherever a :class:`TwoLevelHierarchy` is expected.
-    """
-
-    def __init__(
-        self,
-        hier: TwoLevelHierarchy,
-        guard: InvariantGuard,
-        injector: Any = None,
-    ) -> None:
-        self.inner = hier
-        self.guard = guard
-        self.injector = injector
-        self._accesses = 0
-        guard.watch(hier.bus, [hier])
-
-    def access(self, pid: int, vaddr: int, kind: RefKind) -> AccessResult:
-        """One guarded (and possibly fault-injected) access."""
-        self._accesses += 1
-        if self.injector is not None:
-            self.injector.tick(self.inner, self._accesses)
-        try:
-            result = self.inner.access(pid, vaddr, kind)
-        except (InclusionError, ProtocolError):
-            recovered = self.guard.on_access_error(
-                self.inner, pid, vaddr, kind, self._accesses
-            )
-            if recovered is None:
-                raise
-            result = recovered
-        replay = self.guard.after_access(
-            self.inner, pid, vaddr, kind, self._accesses
-        )
-        return replay if replay is not None else result
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self.inner, name)

@@ -9,7 +9,7 @@ sanity — in two forms:
   instead of raising.  The runtime invariant guard
   (``repro.faults.guard``) calls these on the sets an access touched,
   every N references and at coherence-transaction boundaries, and
-  feeds the results to its recovery policy.
+  raises at the first violation they report.
 * **Raising wrappers** (``check_pointer_consistency``, ``check_all``,
   …) sweep the whole hierarchy and raise :class:`InclusionError` /
   :class:`ProtocolError` on the first violation.  The test suite calls
@@ -17,7 +17,7 @@ sanity — in two forms:
 
 Every scan is defensive: corrupted pointers (out-of-range sets, ways
 or cache indices) are reported as violations, never allowed to escape
-as :class:`IndexError` — a fault injector must not be able to crash
+as :class:`IndexError` — corrupt metadata must not be able to crash
 the checker that is supposed to catch it.
 """
 

@@ -75,20 +75,6 @@ class HierarchyStats:
         misses = self.counters["l2_misses"]
         return ratio(hits, hits + misses)
 
-    def repairs(self) -> int:
-        """Invariant-guard repairs applied to this hierarchy."""
-        return self.counters["guard_repairs"]
-
-    def integrity_events(self) -> int:
-        """Invariant violations the guard observed (any policy)."""
-        return self.counters.total(
-            (
-                "guard_violations",
-                "guard_repairs",
-                "guard_logged_violations",
-            )
-        )
-
     def coherence_to_l1(self) -> int:
         """Total coherence messages percolated to level 1."""
         return self.counters.total(
@@ -111,6 +97,4 @@ class HierarchyStats:
         out["h1"] = round(self.l1_hit_ratio(), 4)
         out["h2"] = round(self.l2_hit_ratio(), 4)
         out["coherence_to_l1"] = self.coherence_to_l1()
-        if self.integrity_events():
-            out["repairs"] = self.repairs()
         return out

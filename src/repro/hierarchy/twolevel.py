@@ -258,8 +258,8 @@ class TwoLevelHierarchy:
 
         The logs only carry information while the replay walker
         (``repro.core.soa.run_soa``) is consuming them; a long run of
-        the scalar protocol path (a guarded replay, the reference
-        loop) would otherwise grow them without bound.
+        the scalar loop (a guarded or value-checked replay, the
+        reference run) would otherwise grow them without bound.
         """
         for l1 in self._l1s:
             del l1.store.dirty_log[:]
@@ -279,8 +279,7 @@ class TwoLevelHierarchy:
 
         Raises :class:`InclusionError` (with the current access index
         and the physical block) instead of crashing when the pointer
-        metadata is corrupt — the error surfaces as a library fault
-        that a guard policy can catch and repair.
+        metadata is corrupt, so the failure names where it happened.
         """
         if sub.v_pointer is None:
             raise InclusionError(

@@ -195,45 +195,16 @@ class TLB:
         """Every (pid, vpage) currently cached, for inspection in tests."""
         return sorted((key >> PID_SHIFT, key & _VPAGE_MASK) for key in self._map)
 
-    # -- fault injection and scrubbing ---------------------------------------
-
     def entries(self) -> list[tuple[int, int, int]]:
         """Every resident (pid, vpage, frame) triple, sorted.
 
-        Used by the fault injector to choose corruption targets and by
-        the invariant guard to cross-check cached translations against
-        the page tables.
+        The invariant checker cross-checks these cached translations
+        against the page tables.
         """
         return sorted(
             (key >> PID_SHIFT, key & _VPAGE_MASK, self._frames_py[slot])
             for key, slot in self._map.items()
         )
-
-    def poison(self, pid: int, vpage: int, frame: int) -> bool:
-        """Overwrite a resident entry's frame in place (fault injection).
-
-        Returns False when (pid, vpage) is not resident.  No counters
-        are touched: a real bit-flip leaves no statistical trace.
-        """
-        slot = self._map.get((pid << PID_SHIFT) | vpage, -1)
-        if slot < 0:
-            return False
-        self.frames[slot] = frame
-        self._frames_py[slot] = frame
-        return True
-
-    def scrub(self, pid: int, vpage: int) -> bool:
-        """Drop one entry (recovery path for a detected corruption).
-
-        Returns True when the entry was resident.  The next access
-        re-walks the page table, restoring the correct mapping.
-        """
-        slot = self._map.pop((pid << PID_SHIFT) | vpage, -1)
-        if slot < 0:
-            return False
-        self._drop(slot)
-        self.stats.add("scrubbed_entries")
-        return True
 
     # -- checkpointing ---------------------------------------------------------
 

@@ -8,7 +8,7 @@ embedding application keeps full control — while the CLI installs a
 single stderr handler whose level is the ``--log-level`` flag.
 
 Experiment *output* (rendered tables) is a product, not a diagnostic:
-it still goes to stdout.  Status lines, runner reports and guard
+it still goes to stdout.  Status lines, runner reports and checkpoint
 warnings go through here, which is what makes ``--log-level error``
 actually silence them.
 """

@@ -324,10 +324,6 @@ HIERARCHY_METRIC_NAMES: dict[str, str] = {
     "wt_write_merges": "wb.wt_merge",
     "wt_synonym_updates": "wb.wt_synonym_update",
     "wt_buffer_forwards": "wb.wt_forward",
-    "guard_violations": "guard.violation",
-    "guard_repairs": "guard.repair",
-    "guard_logged_violations": "guard.logged_violation",
-    "repair_replays": "guard.replay",
 }
 
 #: TLB counter -> canonical metric name.
@@ -338,7 +334,6 @@ TLB_METRIC_NAMES: dict[str, str] = {
     "flushes": "tlb.flush",
     "flushed_entries": "tlb.flushed_entry",
     "selective_flushes": "tlb.selective_flush",
-    "scrubbed_entries": "tlb.scrubbed_entry",
 }
 
 #: Events the runtime sanitizers count (``repro.analysis.runtime``).

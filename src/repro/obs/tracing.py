@@ -2,7 +2,7 @@
 
 The hierarchy's interesting transitions — synonym detection and
 moves, inclusion-forced invalidations, swapped-valid lazy write-backs,
-coherence reactions, fault injections, guard interventions — emit
+coherence reactions, invariant-guard detections — emit
 typed :class:`TraceEvent` records through an :class:`EventTracer`.
 
 Overhead discipline:
@@ -43,8 +43,7 @@ CATEGORIES: frozenset[str] = frozenset(
         "inclusion",  # inclusion-forced level-1 invalidations
         "writeback",  # write-buffer pushes (incl. swapped-valid), cancels
         "coherence",  # snooped transactions percolating into a hierarchy
-        "fault",  # injected metadata/bus faults
-        "guard",  # invariant-guard detections, repairs, replays
+        "guard",  # invariant-guard detections
     }
 )
 

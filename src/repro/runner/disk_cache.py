@@ -8,11 +8,11 @@ code-irrelevant change is near-instant.
 
 Entries are **content-keyed**: the file name is a digest of every
 parameter that affects the result (trace, scale, geometry, hierarchy
-kind, seed, config overrides, and the guard/fault options).  The whole
-cache is **versioned by a schema hash** — a digest of the source text
-of every package the simulation outcome depends on — so any change to
-the simulator's behaviour lands in a fresh subdirectory and stale
-entries self-invalidate.  Old schema directories are pruned lazily.
+kind, seed, config overrides, and the guard and checkpoint options).
+The whole cache is **versioned by a schema hash** — a digest of the
+source text of every package the simulation outcome depends on — so
+any change to the simulator's behaviour lands in a fresh subdirectory
+and stale entries self-invalidate.  Old schema directories are pruned lazily.
 
 Results are stored with :mod:`pickle` (they are plain stats
 containers), written atomically (temp file + ``os.replace``) so

@@ -16,10 +16,10 @@ from time import perf_counter
 from typing import Any
 
 from ..coherence.bus import Bus, MainMemory
-from ..common.errors import InclusionError, ProtocolError
+from ..common.errors import ProtocolError
 from ..hierarchy.config import HierarchyConfig
 from ..hierarchy.stats import HierarchyStats
-from ..hierarchy.twolevel import TwoLevelHierarchy
+from ..hierarchy.twolevel import AccessResult, TwoLevelHierarchy
 from ..mmu.address_space import MemoryLayout
 from ..trace.record import RefKind, TraceRecord
 
@@ -52,7 +52,7 @@ class SimulationResult:
         bus_transactions: bus transaction counts by type.
         refs_processed: memory references simulated.
         timings: per-phase wall-clock seconds ("trace_gen_s",
-            "build_s", "replay_s", "guard_s"); informational only —
+            "build_s", "replay_s"); informational only —
             never part of equality-relevant experiment data.
         tlb_per_cpu: one TLB counter snapshot per CPU, in CPU order
             (empty on results restored from pre-observability caches).
@@ -61,9 +61,9 @@ class SimulationResult:
             its native miss handlers committed, "escapes_by": the
             escapes by the native screen's bail reason, ``gate`` for
             a run outside the native gate}``; empty when the
-            walker did not replay the run (the scalar loop, guarded
-            runs) and on results assembled from several runs
-            (checkpointed replay).  Like *timings*, it describes how
+            walker did not replay the run (the scalar loop, which
+            guarded and value-checked runs take) and on results
+            assembled from several runs (checkpointed replay).  Like *timings*, it describes how
             the result was computed, not the simulation, so no metric,
             digest or equivalence check reads it.
     """
@@ -105,6 +105,17 @@ class SimulationResult:
         return registry_from_result(self, cpu=cpu)
 
 
+def _stale_read(
+    record: TraceRecord, pblock: int, result: AccessResult, expected: int
+) -> ProtocolError:
+    """The value oracle's error for a read of a stale version."""
+    return ProtocolError(
+        f"cpu {record.cpu} read version {result.version} "
+        f"of block {pblock:#x}, expected {expected} "
+        f"(outcome {result.outcome.value})"
+    )
+
+
 class Multiprocessor:
     """N CPUs, each with a private hierarchy, on one snooping bus.
 
@@ -133,12 +144,11 @@ class Multiprocessor:
         n_cpus: int,
         config: HierarchyConfig,
         seed: int = 0,
-        bus: Bus | None = None,
         tracer: Any = None,
     ) -> None:
         self.layout = layout
         self.config = config
-        self.bus = bus if bus is not None else Bus(MainMemory())
+        self.bus = Bus(MainMemory())
         self.version_counter = VersionCounter()
         self.hierarchies = [
             TwoLevelHierarchy(
@@ -179,8 +189,6 @@ class Multiprocessor:
         self,
         records: Iterable[TraceRecord],
         check_values: bool = False,
-        max_refs: int | None = None,
-        injector: Any = None,
         guard: Any = None,
         ref_offset: int = 0,
     ) -> SimulationResult:
@@ -188,55 +196,48 @@ class Multiprocessor:
 
         *records* is any iterable of :class:`TraceRecord` — a list, a
         generator, or a :class:`~repro.trace.stream.TraceStream`.
-        An unguarded run replays through the walker
+        A plain run replays through the walker
         (``repro.core.soa.run_soa``), which recognises a stream's
         ``chunks`` attribute and consumes its vectors directly,
-        holding one bounded chunk at a time.
+        holding one bounded chunk at a time.  A checked run goes
+        through the scalar loop of :meth:`run_scalar`.
 
         With *check_values*, every read is compared against a value
         oracle (the globally most recent write to its physical block);
         a mismatch raises :class:`ProtocolError`, making this the
         strongest end-to-end coherence check in the test suite.
-        *max_refs* stops the run after that many memory references.
 
-        *injector* (a ``repro.faults.FaultInjector``) is consulted
-        before every access to flip metadata bits; *guard* (a
-        ``repro.faults.InvariantGuard``) is consulted after every
-        access and may repair corruption and replay the access.  Both
-        are duck-typed here so the system layer carries no dependency
-        on the faults package.  Combining ``check_values`` with a
-        repairing guard is unsupported: a repair that discards dirty
-        data legitimately changes observed versions.
-
-        *ref_offset* biases the access indices reported to the
-        injector and guard — a resumed checkpointed run passes the
-        number of references already replayed so scheduled faults and
-        check pacing see absolute indices.
+        *guard* (a ``repro.faults.InvariantGuard``, duck-typed so the
+        system layer carries no dependency on the faults package)
+        watches the bus for the length of the run and is consulted
+        after every access; it raises ``IntegrityError`` at the first
+        invariant violation.  *ref_offset* biases the access indices
+        the guard reports — a resumed checkpointed run passes the
+        number of references already replayed, so an error names the
+        absolute index.
         """
-        # Wall-clock reads below time the replay/guard phases for
-        # SimulationResult.timings — metadata, never simulation
-        # state (repro-lint RPS102 pragmas mark each read).
+        # Wall-clock reads time the replay for SimulationResult.timings
+        # — metadata, never simulation state (repro-lint RPS102
+        # pragmas mark each read).
         started = perf_counter()  # rps: ignore[RPS102]
-        guard_seconds = 0.0
         walker: dict[str, Any] = {}
-        if (
-            injector is None
-            and guard is None
-            and not check_values
-            and max_refs is None
-        ):
+        if guard is None and not check_values:
             # Imported here so that start-up does not load the walker.
             from ..core.soa import run_soa
 
             refs, walker = run_soa(self, records)
         else:
-            refs, guard_seconds = self._run_general(
-                records, check_values, max_refs, injector, guard, ref_offset
-            )
+            observer = self.bus.observer
+            if guard is not None:
+                guard.watch(self.bus, self.hierarchies)
+            try:
+                refs = self._run_fast(
+                    records, guard, {} if check_values else None, ref_offset
+                )
+            finally:
+                self.bus.observer = observer
             self._clear_change_logs()
         timings = {"replay_s": perf_counter() - started}  # rps: ignore[RPS102]
-        if guard is not None:
-            timings["guard_s"] = guard_seconds
         return self._result(refs, timings, walker)
 
     def run_scalar(self, records: Iterable[TraceRecord]) -> SimulationResult:
@@ -244,8 +245,8 @@ class Multiprocessor:
 
         Every reference goes through ``TwoLevelHierarchy.access``.
         This is the reference the walker must match bit for bit
-        (``repro-diff``, the equivalence tests); :meth:`run` never
-        takes it.
+        (``repro-diff``, the equivalence tests); :meth:`run` takes it
+        only for a guarded or value-checked run.
         """
         started = perf_counter()  # rps: ignore[RPS102]
         refs = self._run_fast(records)
@@ -275,14 +276,27 @@ class Multiprocessor:
             walker=walker or {},
         )
 
-    def _run_fast(self, records: Iterable[TraceRecord]) -> int:
-        """The scalar reference loop (:meth:`run_scalar`) — every
-        attribute hoisted into a local, with the reference-class
-        dispatch reduced to two identity compares (only CSWITCH and
-        CALL are not memory)."""
+    def _run_fast(
+        self,
+        records: Iterable[TraceRecord],
+        guard: Any = None,
+        oracle: dict[int, int] | None = None,
+        ref_offset: int = 0,
+    ) -> int:
+        """The scalar replay loop: every attribute hoisted into a
+        local, with the reference-class dispatch reduced to two
+        identity compares (only CSWITCH and CALL are not memory).
+
+        *guard* is consulted after every access.  *oracle*, when
+        given, maps each physical block to its latest written version,
+        and every read must observe that version.
+        """
         hierarchies = self.hierarchies
         cswitch = RefKind.CSWITCH
         call = RefKind.CALL
+        write = RefKind.WRITE
+        translate = self.layout.translate
+        block_bits = self.config.l1.block_bits
         refs = 0
         for record in records:
             kind = record.kind
@@ -291,80 +305,22 @@ class Multiprocessor:
                 continue
             if kind is call:
                 continue
-            hierarchies[record.cpu].access(record.pid, record.vaddr, kind)
-            refs += 1
-        return refs
-
-    def _run_general(
-        self,
-        records: Iterable[TraceRecord],
-        check_values: bool,
-        max_refs: int | None,
-        injector: Any,
-        guard: Any,
-        ref_offset: int,
-    ) -> tuple[int, float]:
-        """The fully instrumented replay loop (oracle, faults, guard).
-
-        Returns (references replayed, seconds spent in the guard).
-        """
-        if guard is not None:
-            guard.watch(self.bus, self.hierarchies)
-        oracle: dict[int, int] = {}
-        block_bits = self.config.l1.block_bits
-        guard_seconds = 0.0
-        refs = 0
-        for record in records:
-            if max_refs is not None and refs >= max_refs:
-                break
-            hier = self.hierarchies[record.cpu]
-            kind = record.kind
-            if kind is RefKind.CSWITCH:
-                hier.context_switch(record.pid)
-                continue
-            if not kind.is_memory:
-                continue
-            if injector is not None:
-                injector.tick(hier, ref_offset + refs + 1)
-            try:
-                result = hier.access(record.pid, record.vaddr, kind)
-            except (InclusionError, ProtocolError):
-                # Injected corruption tripped the hierarchy's own
-                # validation before the guard's next check; a repairing
-                # guard sweeps, repairs and replays.
-                if guard is None:
-                    raise
-                guard_started = perf_counter()  # rps: ignore[RPS102]
-                recovered = guard.on_access_error(
-                    hier, record.pid, record.vaddr, kind, ref_offset + refs + 1
-                )
-                guard_seconds += perf_counter() - guard_started  # rps: ignore[RPS102]
-                if recovered is None:
-                    raise
-                result = recovered
+            hier = hierarchies[record.cpu]
+            result = hier.access(record.pid, record.vaddr, kind)
             refs += 1
             if guard is not None:
-                guard_started = perf_counter()  # rps: ignore[RPS102]
-                replay = guard.after_access(
+                guard.after_access(
                     hier, record.pid, record.vaddr, kind, ref_offset + refs
                 )
-                guard_seconds += perf_counter() - guard_started  # rps: ignore[RPS102]
-                if replay is not None:
-                    result = replay
-            if check_values:
-                paddr = self.layout.translate(record.pid, record.vaddr)
-                pblock = paddr >> block_bits
-                if kind is RefKind.WRITE:
+            if oracle is not None:
+                pblock = translate(record.pid, record.vaddr) >> block_bits
+                if kind is write:
                     oracle[pblock] = result.version
                 else:
                     expected = oracle.get(pblock, 0)
                     if result.version != expected:
-                        raise ProtocolError(
-                            f"cpu {record.cpu} read version {result.version} "
-                            f"of block {pblock:#x}, expected {expected} "
-                            f"(outcome {result.outcome.value})"
-                        )
-        return refs, guard_seconds
+                        raise _stale_read(record, pblock, result, expected)
+        return refs
 
     def settle(self) -> None:
         """Drain every write buffer (end-of-run bookkeeping)."""

@@ -7,8 +7,8 @@ checks used throughout the suite have teeth.
 
 import pytest
 
-from repro.common.errors import InclusionError, ProtocolError
-from repro.faults import GuardPolicy, InvariantGuard
+from repro.common.errors import InclusionError, IntegrityError, ProtocolError
+from repro.faults import InvariantGuard
 from repro.hierarchy.checker import (
     check_all,
     check_buffer_bits,
@@ -214,7 +214,8 @@ class TestSwappedSynonymEdges:
 
 
 class TestInclusionRepair:
-    """The guard's inclusion-bit repair paths, driven end to end."""
+    """Inclusion-bit corruptions, found by the set scan and by the
+    fail-fast guard at the next access boundary."""
 
     def test_scan_flags_vdirty_without_inclusion(self, healthy):
         sub = _sub_of(healthy, 0x40100)  # written by the fixture
@@ -228,29 +229,34 @@ class TestInclusionRepair:
             "vdirty set without inclusion" in v.message for v in violations
         )
 
-    def test_guard_repairs_cleared_inclusion_bit(self, layout):
+    def test_guard_detects_cleared_inclusion_bit(self, layout):
         hier = build_hierarchy(layout)
         hier.access(1, 0x40000, W)
-        _sub_of(hier, 0x40000).inclusion = False
-        guard = InvariantGuard(GuardPolicy.REPAIR, check_every=1, full_every=1)
-        replacement = guard.after_access(
-            hier, 1, 0x40000, RefKind.READ, access_index=1
+        _sub_of(hier, 0x40000).inclusion = False  # over a dirty child
+        guard = InvariantGuard(check_every=1, full_every=1)
+        with pytest.raises(IntegrityError) as exc_info:
+            guard.after_access(hier, 1, 0x40000, RefKind.READ, access_index=7)
+        error = exc_info.value
+        assert error.access_index == 7
+        assert error.address == 0x40000
+        assert any(
+            "vdirty set without inclusion" in v.message
+            for v in error.violations
         )
-        assert replacement is not None  # the access was replayed
-        assert hier.stats.counters["guard_repairs"] > 0
-        check_all(hier)
 
-    def test_guard_repairs_unlinked_inclusion_bit(self, layout):
+    def test_guard_detects_unlinked_inclusion_bit(self, layout):
         hier = build_hierarchy(layout, l2_block_size=32)
         hier.access(1, 0x40000, R)
         rblock, _ = hier.rcache.lookup(hier.layout.translate(1, 0x40000))
         # The neighbouring subentry was filled by the level-2 miss but
         # has no level-1 child; forging its inclusion bit leaves a
-        # v-pointer-less claim the guard must clear.
+        # v-pointer-less claim the guard must report.
         spare = next(s for s in rblock.subentries if not s.inclusion)
         spare.inclusion = True
-        guard = InvariantGuard(GuardPolicy.REPAIR, check_every=1, full_every=1)
-        guard.after_access(hier, 1, 0x40000, RefKind.READ, access_index=1)
-        assert not spare.inclusion
-        assert hier.stats.counters["guard_repairs"] > 0
-        check_all(hier)
+        guard = InvariantGuard(check_every=1, full_every=1)
+        with pytest.raises(IntegrityError) as exc_info:
+            guard.after_access(hier, 1, 0x40000, RefKind.READ, access_index=1)
+        assert any(
+            "without v-pointer" in v.message for v in exc_info.value.violations
+        )
+        assert f"l2 set {rblock.set_index}" in exc_info.value.snapshot

@@ -1,4 +1,4 @@
-"""Tests for fault injection, the invariant guard, and checkpointing."""
+"""Tests for the invariant guard and checkpointing."""
 
 import logging
 import os
@@ -6,276 +6,106 @@ import pickle
 
 import pytest
 
-from repro.common.errors import (
-    BusFaultError,
-    CheckpointError,
-    ConfigurationError,
-    IntegrityError,
-)
+from repro.common.errors import CheckpointError, IntegrityError
 from repro.faults import (
-    FaultConfig,
-    FaultInjector,
-    FaultKind,
-    FaultyBus,
-    GuardedHierarchy,
-    GuardPolicy,
     InvariantGuard,
     load_checkpoint,
     run_checkpointed,
     save_checkpoint,
 )
-from repro.hierarchy.checker import check_all
 from repro.hierarchy.config import HierarchyConfig
 from repro.system.multiprocessor import Multiprocessor
-from repro.trace.record import RefKind
-
-#: The metadata fault mix the determinism and repair tests inject.
-METADATA_MIX = {
-    FaultKind.FLIP_INCLUSION: 1e-3,
-    FaultKind.FLIP_VDIRTY: 1e-3,
-    FaultKind.FLIP_L1_DIRTY: 1e-3,
-    FaultKind.CORRUPT_V_POINTER: 1e-3,
-    FaultKind.CORRUPT_TLB: 1e-3,
-}
 
 
-def faulty_machine(
-    workload,
-    probabilities,
-    seed=7,
-    policy=GuardPolicy.REPAIR,
-    check_every=100,
-    **guard_kwargs,
-):
-    """A two-CPU machine with a fault-injecting bus and a guard."""
-    injector = FaultInjector(FaultConfig(probabilities=probabilities, seed=seed))
-    bus = FaultyBus(injector)
+def plain_machine(workload):
+    """A two-CPU 1K/8K V-R machine for *workload*."""
     config = HierarchyConfig.sized("1K", "8K")
-    machine = Multiprocessor(
-        workload.layout, workload.spec.n_cpus, config, bus=bus
+    return Multiprocessor(workload.layout, workload.spec.n_cpus, config)
+
+
+def _included_subentry(hier):
+    """The first valid subentry whose block has a level-1 child."""
+    return next(
+        sub
+        for rblock in hier.rcache.blocks()
+        for sub in rblock.subentries
+        if sub.valid and sub.inclusion
     )
-    guard = InvariantGuard(policy, check_every=check_every, **guard_kwargs)
-    return machine, injector, guard
-
-
-class TestFaultConfig:
-    def test_rejects_probability_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            FaultConfig(probabilities={FaultKind.FLIP_VDIRTY: 1.5})
-
-    def test_rejects_scheduled_bus_fault(self):
-        with pytest.raises(ConfigurationError):
-            FaultConfig(schedule=((10, FaultKind.DROP_TXN),))
-
-    def test_rejects_nonpositive_schedule_index(self):
-        with pytest.raises(ConfigurationError):
-            FaultConfig(schedule=((0, FaultKind.FLIP_INCLUSION),))
-
-
-class TestDeterminism:
-    def test_same_seed_same_schedule_and_stats(self, tiny_workload):
-        """Satellite 3: identical seed + config => identical fault
-        schedule and identical post-repair statistics."""
-        records = tiny_workload.records()
-        outcomes = []
-        for _ in range(2):
-            machine, injector, guard = faulty_machine(
-                tiny_workload, METADATA_MIX
-            )
-            result = machine.run(records, injector=injector, guard=guard)
-            outcomes.append(
-                (
-                    injector.events,
-                    injector.stats.as_dict(),
-                    [h.counters.as_dict() for h in result.per_cpu],
-                    machine.bus.stats.as_dict(),
-                )
-            )
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][0], "expected at least one injected fault"
-
-    def test_different_seed_different_schedule(self, tiny_workload):
-        records = tiny_workload.records()
-        events = []
-        for seed in (1, 2):
-            machine, injector, guard = faulty_machine(
-                tiny_workload, METADATA_MIX, seed=seed
-            )
-            machine.run(records, injector=injector, guard=guard)
-            events.append(injector.events)
-        assert events[0] != events[1]
-
-
-class TestRepairPolicy:
-    def test_miss_ratio_within_one_percent_of_fault_free(self, tiny_workload):
-        """Acceptance demo: seeded bit-flips at p=1e-3 complete under
-        ``repair`` with a miss ratio within 1% of the fault-free run."""
-        records = tiny_workload.records()
-        config = HierarchyConfig.sized("1K", "8K")
-        clean = Multiprocessor(
-            tiny_workload.layout, tiny_workload.spec.n_cpus, config
-        ).run(records)
-        machine, injector, guard = faulty_machine(tiny_workload, METADATA_MIX)
-        faulty = machine.run(records, injector=injector, guard=guard)
-        assert injector.events, "no faults injected"
-        assert faulty.aggregate().repairs() > 0
-        assert abs(faulty.h1 - clean.h1) < 0.01
-
-    def test_hierarchy_consistent_after_repairs(self, tiny_workload):
-        records = tiny_workload.records()
-        machine, injector, guard = faulty_machine(
-            tiny_workload, METADATA_MIX, check_every=50, full_every=4
-        )
-        machine.run(records, injector=injector, guard=guard)
-        # After a final full repair pass the invariants must all hold.
-        for hier in machine.hierarchies:
-            hier.drain_write_buffer()
-            check_all(hier)
-
-    def test_repairs_surface_in_summary(self, tiny_workload):
-        records = tiny_workload.records()
-        machine, injector, guard = faulty_machine(tiny_workload, METADATA_MIX)
-        result = machine.run(records, injector=injector, guard=guard)
-        assert "repairs" in result.aggregate().summary()
 
 
 class TestFailFastPolicy:
     def test_scheduled_fault_raises_structured_error(self, tiny_workload):
+        """A v-pointer corrupted by hand between two runs stops the
+        next access with an IntegrityError that names its absolute
+        access index, the violations and the affected sets."""
         records = tiny_workload.records()
-        injector = FaultInjector(
-            FaultConfig(schedule=((50, FaultKind.CORRUPT_V_POINTER),), seed=1)
+        machine = plain_machine(tiny_workload)
+        guard = InvariantGuard(check_every=1, full_every=1)
+        split = next(
+            i for i, r in enumerate(records) if i >= 400 and r.kind.is_memory
         )
-        bus = FaultyBus(injector)
-        config = HierarchyConfig.sized("1K", "8K")
-        machine = Multiprocessor(
-            tiny_workload.layout, tiny_workload.spec.n_cpus, config, bus=bus
-        )
-        guard = InvariantGuard(
-            GuardPolicy.FAIL_FAST, check_every=1, full_every=1
-        )
+        done = machine.run(records[:split], guard=guard).refs_processed
+        hier = machine.hierarchies[records[split].cpu]
+        sub = _included_subentry(hier)
+        cache_index, set_index, way = sub.v_pointer
+        n_sets = hier.l1_caches[cache_index].config.n_sets
+        sub.v_pointer = (cache_index, (set_index + 1) % n_sets, way)
         with pytest.raises(IntegrityError) as exc_info:
-            machine.run(records, injector=injector, guard=guard)
+            machine.run(records[split:], guard=guard, ref_offset=done)
         error = exc_info.value
-        assert error.access_index is not None and error.access_index >= 50
+        assert error.access_index == done + 1
         assert error.violations
         assert error.snapshot, "expected a tag-store snapshot"
-
-    def test_policy_accepts_string_spelling(self):
-        assert InvariantGuard("fail-fast").policy is GuardPolicy.FAIL_FAST
-        assert InvariantGuard("repair").policy is GuardPolicy.REPAIR
+        assert machine.bus.observer is None  # uninstalled on the raise
 
 
-class TestLogPolicy:
-    def test_records_incidents_and_continues(self, tiny_workload):
+class TestGuardLifetime:
+    def test_guard_detaches_when_its_run_returns(self, tiny_workload):
+        """A guarded run leaves no observer on the bus, so the next
+        plain run on the same machine is unguarded and replays through
+        the walker's native handlers."""
         records = tiny_workload.records()
-        machine, injector, guard = faulty_machine(
-            tiny_workload,
-            {FaultKind.CORRUPT_TLB: 2e-3},
-            policy=GuardPolicy.LOG,
+        half = len(records) // 2
+        machine = plain_machine(tiny_workload)
+        guarded = machine.run(
+            records[:half], guard=InvariantGuard(check_every=100)
         )
-        result = machine.run(records, injector=injector, guard=guard)
-        assert result.refs_processed == tiny_workload.spec.total_refs
-        assert guard.incidents
-        assert result.aggregate().counters["guard_logged_violations"] > 0
-
-
-class TestFaultyBus:
-    def test_drops_are_retried_and_run_completes(self, tiny_workload):
-        records = tiny_workload.records()
-        machine, injector, guard = faulty_machine(
-            tiny_workload, {FaultKind.DROP_TXN: 0.02}
-        )
-        result = machine.run(records, injector=injector, guard=guard)
-        assert result.refs_processed == tiny_workload.spec.total_refs
-        assert machine.bus.stats["faults_dropped"] > 0
-        assert machine.bus.stats["retries"] == machine.bus.stats["faults_dropped"]
-        assert machine.bus.stats["backoff_cycles"] > 0
-
-    def test_certain_drop_exhausts_retries(self, tiny_workload):
-        records = tiny_workload.records()
-        injector = FaultInjector(
-            FaultConfig(probabilities={FaultKind.DROP_TXN: 1.0})
-        )
-        bus = FaultyBus(injector, max_retries=3)
-        config = HierarchyConfig.sized("1K", "8K")
-        machine = Multiprocessor(
-            tiny_workload.layout, tiny_workload.spec.n_cpus, config, bus=bus
-        )
-        with pytest.raises(BusFaultError):
-            machine.run(records)
-        assert bus.stats["faults_dropped"] == 4  # initial try + 3 retries
-
-    def test_duplicates_and_delays_are_harmless(self, tiny_workload):
-        """Duplicated transactions must not break any invariant —
-        verified by a fail-fast guard over the whole run."""
-        records = tiny_workload.records()
-        machine, injector, guard = faulty_machine(
-            tiny_workload,
-            {FaultKind.DUP_TXN: 0.05, FaultKind.DELAY_TXN: 0.05},
-            policy=GuardPolicy.FAIL_FAST,
-        )
-        result = machine.run(records, injector=injector, guard=guard)
-        assert result.refs_processed == tiny_workload.spec.total_refs
-        assert machine.bus.stats["faults_duplicated"] > 0
-        assert machine.bus.stats["faults_delayed"] > 0
-
-
-class TestGuardedHierarchy:
-    def test_wrapper_repairs_and_delegates(self, layout):
-        from tests.conftest import build_hierarchy
-
-        hier = build_hierarchy(layout)
-        injector = FaultInjector(
-            FaultConfig(probabilities={FaultKind.FLIP_INCLUSION: 5e-3}, seed=3)
-        )
-        guard = InvariantGuard(GuardPolicy.REPAIR, check_every=20, full_every=2)
-        guarded = GuardedHierarchy(hier, guard, injector)
-        for i in range(2000):
-            guarded.access(1, 0x40000 + (i * 24) % 0x8000, RefKind.READ)
-        assert guarded.stats is hier.stats  # attribute delegation
-        assert injector.events
-        assert hier.stats.repairs() > 0
-        hier.drain_write_buffer()
-        check_all(hier)
+        assert guarded.walker == {}
+        assert machine.bus.observer is None
+        plain = machine.run(records[half:])
+        assert plain.walker["native"] > 0
 
 
 class TestCheckpoint:
-    def _build(self, workload):
-        machine, injector, guard = faulty_machine(
-            workload, {FaultKind.FLIP_INCLUSION: 1e-3, FaultKind.CORRUPT_TLB: 1e-3},
-            seed=3,
-        )
-        return machine, injector, guard
+    """Checkpointed replay of a record list (the ``TraceCursor`` path)."""
 
-    def _fingerprint(self, machine, injector):
+    def _fingerprint(self, machine):
         return (
             [h.stats.counters.as_dict() for h in machine.hierarchies],
             machine.bus.memory.export_state(),
             machine.bus.stats.as_dict(),
-            injector.events,
         )
 
     def test_interrupted_run_resumes_bit_identical(self, tiny_workload, tmp_path):
         """Acceptance demo: a checkpointed run killed mid-trace resumes
-        to results bit-identical to an uninterrupted one."""
+        to results bit-identical to an uninterrupted one.  The killed
+        and resumed runs replay under a fail-fast guard, which finds
+        nothing and changes nothing."""
         records = tiny_workload.records()
         key = ("ckpt-test",)
 
-        machine, injector, guard = self._build(tiny_workload)
+        machine = plain_machine(tiny_workload)
         path_full = str(tmp_path / "full.ckpt")
-        full = run_checkpointed(
-            machine, records, path_full, key=key, chunk=1000,
-            injector=injector, guard=guard,
-        )
+        full = run_checkpointed(machine, records, path_full, key=key, chunk=1000)
         assert full.refs_processed == tiny_workload.spec.total_refs
         assert not os.path.exists(path_full)  # deleted on completion
-        expected = self._fingerprint(machine, injector)
+        expected = self._fingerprint(machine)
 
         class Killed(Exception):
             pass
 
         path = str(tmp_path / "killed.ckpt")
-        machine2, injector2, guard2 = self._build(tiny_workload)
+        machine2 = plain_machine(tiny_workload)
         chunks_done = []
 
         def kill_after_three(position):
@@ -286,23 +116,23 @@ class TestCheckpoint:
         with pytest.raises(Killed):
             run_checkpointed(
                 machine2, records, path, key=key, chunk=1000,
-                injector=injector2, guard=guard2, on_chunk=kill_after_three,
+                guard=InvariantGuard(check_every=50),
+                on_chunk=kill_after_three,
             )
         assert os.path.exists(path)
 
         # Resume into a completely fresh machine.
-        machine3, injector3, guard3 = self._build(tiny_workload)
+        machine3 = plain_machine(tiny_workload)
         resumed = run_checkpointed(
             machine3, records, path, key=key, chunk=1000,
-            injector=injector3, guard=guard3,
+            guard=InvariantGuard(check_every=50),
         )
         assert resumed.refs_processed == tiny_workload.spec.total_refs
-        assert self._fingerprint(machine3, injector3) == expected
+        assert self._fingerprint(machine3) == expected
 
     def test_key_mismatch_rejected(self, tiny_workload, tmp_path):
         records = tiny_workload.records()
         path = str(tmp_path / "keyed.ckpt")
-        machine, injector, guard = self._build(tiny_workload)
 
         class Killed(Exception):
             pass
@@ -312,14 +142,13 @@ class TestCheckpoint:
 
         with pytest.raises(Killed):
             run_checkpointed(
-                machine, records, path, key=("run-a",), chunk=1000,
-                injector=injector, guard=guard, on_chunk=kill_immediately,
+                plain_machine(tiny_workload), records, path, key=("run-a",),
+                chunk=1000, on_chunk=kill_immediately,
             )
-        machine2, injector2, guard2 = self._build(tiny_workload)
         with pytest.raises(CheckpointError, match="different run"):
             run_checkpointed(
-                machine2, records, path, key=("run-b",), chunk=1000,
-                injector=injector2, guard=guard2,
+                plain_machine(tiny_workload), records, path, key=("run-b",),
+                chunk=1000,
             )
 
     def test_garbage_file_rejected(self, tmp_path):
@@ -385,24 +214,20 @@ class TestCheckpoint:
         records = tiny_workload.records()
         key = ("ckpt-corrupt",)
 
-        machine, injector, guard = self._build(tiny_workload)
+        machine = plain_machine(tiny_workload)
         clean = run_checkpointed(
-            machine, records, str(tmp_path / "clean.ckpt"), key=key,
-            chunk=1000, injector=injector, guard=guard,
+            machine, records, str(tmp_path / "clean.ckpt"), key=key, chunk=1000
         )
-        expected = self._fingerprint(machine, injector)
+        expected = self._fingerprint(machine)
 
         path = str(tmp_path / "corrupt.ckpt")
         with open(path, "wb") as handle:
             handle.write(b"\x80\x05 definitely not a checkpoint")
-        machine2, injector2, guard2 = self._build(tiny_workload)
+        machine2 = plain_machine(tiny_workload)
         with caplog.at_level(logging.WARNING, logger="repro.faults.checkpoint"):
-            resumed = run_checkpointed(
-                machine2, records, path, key=key, chunk=1000,
-                injector=injector2, guard=guard2,
-            )
+            resumed = run_checkpointed(machine2, records, path, key=key, chunk=1000)
         assert resumed.refs_processed == clean.refs_processed
-        assert self._fingerprint(machine2, injector2) == expected
+        assert self._fingerprint(machine2) == expected
         assert not os.path.exists(path)  # discarded, then deleted on completion
         assert any(
             "discarding unusable checkpoint" in record.message
@@ -417,12 +242,11 @@ class TestCheckpoint:
         key = ("ckpt-trunc",)
         path = str(tmp_path / "trunc.ckpt")
 
-        machine, injector, guard = self._build(tiny_workload)
+        machine = plain_machine(tiny_workload)
         clean = run_checkpointed(
-            machine, records, str(tmp_path / "clean.ckpt"), key=key,
-            chunk=1000, injector=injector, guard=guard,
+            machine, records, str(tmp_path / "clean.ckpt"), key=key, chunk=1000
         )
-        expected = self._fingerprint(machine, injector)
+        expected = self._fingerprint(machine)
 
         class Killed(Exception):
             pass
@@ -430,24 +254,20 @@ class TestCheckpoint:
         def kill_immediately(position):
             raise Killed
 
-        machine2, injector2, guard2 = self._build(tiny_workload)
         with pytest.raises(Killed):
             run_checkpointed(
-                machine2, records, path, key=key, chunk=1000,
-                injector=injector2, guard=guard2, on_chunk=kill_immediately,
+                plain_machine(tiny_workload), records, path, key=key,
+                chunk=1000, on_chunk=kill_immediately,
             )
         data = open(path, "rb").read()
         with open(path, "wb") as handle:
             handle.write(data[: len(data) // 3])
 
-        machine3, injector3, guard3 = self._build(tiny_workload)
+        machine3 = plain_machine(tiny_workload)
         with caplog.at_level(logging.WARNING, logger="repro.faults.checkpoint"):
-            resumed = run_checkpointed(
-                machine3, records, path, key=key, chunk=1000,
-                injector=injector3, guard=guard3,
-            )
+            resumed = run_checkpointed(machine3, records, path, key=key, chunk=1000)
         assert resumed.refs_processed == clean.refs_processed
-        assert self._fingerprint(machine3, injector3) == expected
+        assert self._fingerprint(machine3) == expected
         assert any(
             "restart-from-beginning" in record.message
             for record in caplog.records
@@ -469,6 +289,21 @@ class TestCli:
         from repro.experiments.cli import main
 
         assert main(["table1", "--check-every", "0"]) == 2
+
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_invalid_scale_rejected(self, scale, capsys):
+        from repro.experiments.cli import main
+
+        assert main(["table1", "--scale", scale]) == 2
+        assert "--scale" in capsys.readouterr().err
+
+    def test_malformed_scale_environment_rejected(self, monkeypatch, capsys):
+        from repro.experiments.cli import build_parser, main
+
+        monkeypatch.setenv("REPRO_SCALE", "abc")
+        assert "$REPRO_SCALE" in build_parser().format_help()
+        assert main(["table1"]) == 2
+        assert "REPRO_SCALE" in capsys.readouterr().err
 
     def test_keyboard_interrupt_exits_130(self, monkeypatch, capsys):
         from repro.experiments import cli

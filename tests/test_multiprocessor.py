@@ -24,11 +24,6 @@ class TestRun:
         result = machine.run(tiny_workload)
         assert result.refs_processed == tiny_workload.spec.total_refs
 
-    def test_max_refs_stops_early(self, tiny_workload):
-        machine = small_machine(tiny_workload)
-        result = machine.run(tiny_workload, max_refs=500)
-        assert result.refs_processed == 500
-
     def test_per_cpu_stats_populated(self, tiny_workload):
         machine = small_machine(tiny_workload)
         result = machine.run(tiny_workload)

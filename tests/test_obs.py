@@ -185,9 +185,9 @@ class TestTracingInvariants:
     def test_attached_filtered_tracer_does_not_change_results(self):
         baseline = simulate("pops", SCALE, "1K", "8K", HierarchyKind.VR)
         clear_caches()
-        # "fault" events never fire without an injector, so this tracer
+        # "guard" events never fire in an unguarded run, so this tracer
         # is attached but silent — results must be bit-identical.
-        set_tracer(EventTracer(categories=frozenset({"fault"})))
+        set_tracer(EventTracer(categories=frozenset({"guard"})))
         traced = simulate("pops", SCALE, "1K", "8K", HierarchyKind.VR)
         assert get_tracer().emitted == 0
         traced_counts = [s.counters.as_dict() for s in traced.per_cpu]
