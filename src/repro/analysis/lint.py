@@ -24,7 +24,7 @@ encode them directly:
 * **RPL004** — no dict display, dict/set comprehension or f-string
   inside the designated hot replay functions; these allocate per
   reference and belong outside the loop.
-* **RPL005** — the SoA chunk loop (``repro.core.soa._walk_chunk``)
+* **RPL005** — the SoA chunk loop (``repro.core.soa._walk``)
   must stay object-free per reference: **no attribute lookups at
   all** (every array, counter and bound method is hoisted into a
   local before the loop — an attribute read inside would re-introduce
@@ -105,7 +105,7 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
 #: alone a ``CacheBlock`` one) or container construction inside is a
 #: per-reference allocation regression.
 CHUNK_LOOP_FUNCTIONS: dict[str, frozenset[str]] = {
-    "repro/core/soa.py": frozenset({"_walk_chunk"}),
+    "repro/core/soa.py": frozenset({"_walk"}),
 }
 
 #: Base classes that exempt a class from RPL003: their machinery is

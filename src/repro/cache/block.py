@@ -38,9 +38,7 @@ class CacheBlock:
 
     Every getter returns a plain ``int``/``bool``/tuple, so values
     escaping into replacement orders, checkpoints and digests never
-    carry array types.  Setters of the tag and of any flag bit append
-    the block's flat index to the store's change log, which the replay
-    walker folds into its per-chunk taint sets.
+    carry array types.
     """
 
     __slots__ = (
@@ -52,7 +50,6 @@ class CacheBlock:
         "_ps",
         "_pw",
         "_pb",
-        "_dl",
         "_g",
     )
 
@@ -65,7 +62,6 @@ class CacheBlock:
         self._ps = store.rp_set
         self._pw = store.rp_way
         self._pb = store.rp_sub
-        self._dl = store.dirty_log
         self._g = set_index * store.config.associativity + way
 
     @property
@@ -79,7 +75,6 @@ class CacheBlock:
             self._fl[g] |= F_VALID
         else:
             self._fl[g] &= 0xFF ^ F_VALID
-        self._dl.append(g)
 
     @property
     def swapped_valid(self) -> bool:
@@ -92,7 +87,6 @@ class CacheBlock:
             self._fl[g] |= F_SWAPPED
         else:
             self._fl[g] &= 0xFF ^ F_SWAPPED
-        self._dl.append(g)
 
     @property
     def dirty(self) -> bool:
@@ -105,7 +99,6 @@ class CacheBlock:
             self._fl[g] |= F_DIRTY
         else:
             self._fl[g] &= 0xFF ^ F_DIRTY
-        self._dl.append(g)
 
     @property
     def tag(self) -> int:
@@ -113,9 +106,7 @@ class CacheBlock:
 
     @tag.setter
     def tag(self, value: int) -> None:
-        g = self._g
-        self._tg[g] = value
-        self._dl.append(g)
+        self._tg[self._g] = value
 
     @property
     def version(self) -> int:
@@ -152,9 +143,7 @@ class CacheBlock:
 
     def invalidate(self) -> None:
         """Drop the block entirely (data discarded)."""
-        g = self._g
-        self._fl[g] = 0
-        self._dl.append(g)
+        self._fl[self._g] = 0
 
     def swap_out(self) -> None:
         """Context switch: valid -> swapped-valid, data retained.
@@ -166,7 +155,6 @@ class CacheBlock:
         flags = self._fl[g]
         if flags & F_VALID:
             self._fl[g] = (flags & ~F_VALID) | F_SWAPPED
-            self._dl.append(g)
 
     def fill(self, tag: int, r_pointer: Any, version: int) -> None:
         """Load a clean block into this slot."""
@@ -175,7 +163,6 @@ class CacheBlock:
         self._tg[g] = tag
         self._vr[g] = version
         self._fl[g] = F_VALID
-        self._dl.append(g)
 
     def __repr__(self) -> str:
         flags = "".join(

@@ -15,7 +15,6 @@ built per set on first use.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from functools import partial
 from weakref import proxy
@@ -28,9 +27,6 @@ from .config import CacheConfig
 from .replacement import ReplacementPolicy, make_policy
 
 BlockFactory = Callable[[int, int], CacheBlock]
-
-#: A change log that keeps nothing, for stores no replay walker reads.
-_DISCARD: deque[int] = deque(maxlen=0)
 
 
 class _Sets(dict[int, list[CacheBlock]]):
@@ -65,9 +61,7 @@ class TagStore:
 
     The *block_factory* lets a subsystem substitute a richer view
     class (the R-cache does); it must accept ``(set_index, way)``.
-    *dirty_log*, when given, receives the flat index of every block
-    whose tag or flag bits a view changes (the level-1 caches pass the
-    list the replay walker drains); *planes* are the owner's extra
+    *planes* are the owner's extra
     ``(buffer, dtype, power-on value)`` arrays, laid out set-major,
     that :meth:`live_sets` must also inspect.  A store whose blocks
     carry no r-pointer (the R-cache's) passes ``r_pointers=False`` and
@@ -87,7 +81,6 @@ class TagStore:
         "rp_set",
         "rp_way",
         "rp_sub",
-        "dirty_log",
         "_sets",
         "_planes",
         "_ways",
@@ -105,7 +98,6 @@ class TagStore:
         block_factory: BlockFactory | None = None,
         replacement: str | ReplacementPolicy = "lru",
         seed: int = 0,
-        dirty_log: list[int] | None = None,
         planes: tuple = (),
         r_pointers: bool = True,
     ) -> None:
@@ -143,7 +135,6 @@ class TagStore:
                 (self.rp_way, np.int64, 0),
                 (self.rp_sub, np.int64, 0),
             )
-        self.dirty_log = _DISCARD if dirty_log is None else dirty_log
         if block_factory is None:
             # Views take the arrays from a weak proxy: the store owns its
             # sets, and a strong reference back would make it a cycle

@@ -5,17 +5,16 @@ stores, the R-cache and the TLB (DESIGN.md §13); the protocol code in
 ``TwoLevelHierarchy`` reads and writes them through block views.  This
 module reads and writes the arrays directly.
 
-:func:`run_soa` consumes the trace in bounded chunks, classifies every
-reference of a chunk with vectorized array ops (L1 tag match + dirty
-bit, TLB probe for physically-indexed level 1), and then walks the
-chunk in :func:`_walk_chunk`, committing pure level-1 hits with a
-handful of integer operations and escaping to
-``TwoLevelHierarchy.access`` for everything else.  The commonest
-misses are handled natively over the arrays (the miss handlers built
-in :func:`run_soa`).  Chunk-boundary semantics (how a scalar escape
-invalidates earlier classifications) are documented in DESIGN.md §13.
-``_walk_chunk`` is the RPL005-audited function: it performs no
-attribute lookups and no container allocation per reference.
+:func:`run_soa` converts the trace into int lists one bounded batch at
+a time and walks each batch in :func:`_walk`, in trace order.  Each
+reference is looked up in the live arrays, as the hardware would:
+for a physically indexed level 1 the TLB slot map first, then the
+level-1 set.  A pure level-1 hit is committed with a handful of
+integer operations; anything else goes to the native miss handlers
+built in :func:`run_soa`, which commit the commonest misses over the
+arrays, or escapes to ``TwoLevelHierarchy.access``.  ``_walk`` is the
+RPL005-audited function: it performs no attribute lookups and no
+container allocation per reference.
 
 ``Multiprocessor.run_scalar`` is the reference loop the walker must
 match bit for bit: ``TwoLevelHierarchy.access`` for every reference.
@@ -24,8 +23,6 @@ match bit for bit: ``TwoLevelHierarchy.access`` for every reference.
 from __future__ import annotations
 
 from typing import Any
-
-import numpy as np
 
 from ..cache.write_buffer import WriteBufferEntry
 from ..common.errors import InclusionError, ProtocolError
@@ -42,11 +39,11 @@ from ..mmu.tlb import PID_SHIFT as _PID_SHIFT
 from ..trace.record import RefKind
 from ..trace.stream import chunk_iter
 
-# Numeric reference-kind codes used by the vectorized classifier:
-# INSTR=0, READ=1, WRITE=2, CSWITCH=3, CALL=4 (the chunk encoding of
-# ``repro.trace.stream``).  Memory kinds come first so ``kind_code < 3``
-# selects them, and the INSTR/READ/WRITE codes double as indices into
-# the per-CPU hit accumulators (matching l1_hits_i/_r/_w).
+# Reference-kind codes of a batch (the chunk encoding of
+# ``repro.trace.stream``): INSTR=0, READ=1, WRITE=2, CSWITCH=3,
+# CALL=4.  Memory kinds come first so ``kind < 3`` selects them, and
+# the INSTR/READ/WRITE codes double as indices into the per-CPU hit
+# accumulators (matching l1_hits_i/_r/_w).
 _KIND_OBJS = (RefKind.INSTR, RefKind.READ, RefKind.WRITE)
 
 # The exact key objects the scalar path mints (the f-strings in
@@ -61,26 +58,17 @@ _MISS_KEYS = tuple(_L1_KEYS[kind, False] for kind in _KIND_OBJS)
 _READ, _RMW, _INV = 0, 1, 2
 _BUS_KEYS = ("read_miss", "read_modified_write", "invalidate")
 
-#: References per classification chunk and records per conversion batch.
-_CHUNK = 8192
+#: Records per conversion batch.
 _BATCH = 1 << 16
 
 
 # -- the fast replay loop ------------------------------------------------------
 
 
-def _walk_chunk(
-    s,
-    e,
-    code_l,
-    sb_l,
-    tg_l,
-    w_l,
-    ts_l,
-    vp_l,
-    off_l,
+def _walk(
     cpu_l,
     pid_l,
+    vad_l,
     kc_l,
     refs_l,
     cnt_l,
@@ -93,7 +81,6 @@ def _walk_chunk(
     vers_a,
     ts_a,
     pols,
-    tsets,
     wbs,
     drains,
     fms,
@@ -101,120 +88,97 @@ def _walk_chunk(
     cs,
     tmget,
     tfrs,
-    evls,
     dp,
     assoc,
     multi,
     wt,
     rr,
+    pid_tags,
     split,
     pshift,
+    pmask,
     psize,
     bbits,
     sbits,
     smask,
 ):
-    """Commit one classified chunk (trace indices ``s..e``).
+    """Walk one batch of references, in trace order.
 
     This is the per-reference hot loop: RPL005 requires that it
     perform no attribute lookups and allocate no containers.  All
-    object work happens through the prebound closures ``esc`` (escape
-    one reference to the scalar protocol path), ``cs`` (context
-    switch), and ``drains[c]`` (drain one write-buffer entry).
+    object work happens through the prebound closures ``fms[c]`` (the
+    native miss handler), ``esc`` (escape one reference to the scalar
+    protocol path), ``cs`` (context switch), and ``drains[c]`` (drain
+    one write-buffer entry).
 
-    ``mut`` tracks whether any scalar handler has run since the chunk
-    was classified.  While False, the vectorized verdicts are exact.
-    Once True, pure-looking references are revalidated against the
-    live arrays: a cheap taint-set membership test first (scalar
-    handlers report every level-1 slot they touch), then a way scan
-    only for references whose set was actually touched.  Physically
-    indexed level-1 references additionally recheck TLB residency via
-    the slot map once any eviction has been logged.
+    Each reference is looked up in the live arrays, so every verdict
+    sees the changes of every reference before it.  The key is built
+    from Python ints: TLB keys and pid-tagged level-1 tags packed into
+    int64 would wrap for pids >= 2**15.  A hit whose TLB slot, level-1
+    way and dirty bit all agree is committed here; a write-through
+    write, a TLB miss, a level-1 miss and a write to a clean block go
+    to ``fms[c]`` and, when it bails, to ``esc``.
     """
-    mut = False
-    i = -1
-    for j in range(s, e):
-        i += 1
-        code = code_l[i]
-        if code >= 3:
-            if code == 3:
+    for j in range(len(kc_l)):
+        k = kc_l[j]
+        if k >= 3:
+            if k == 3:
                 cs(j)
-                mut = True
             continue
         c = cpu_l[j]
-        k = kc_l[j]
+        if wt and k == 2:
+            esc(j)
+            continue
+        if rr:
+            vad = vad_l[j]
+            if pshift >= 0:
+                vp = vad >> pshift
+            else:
+                vp = vad // psize
+            slot = tmget[c]((pid_l[j] << _PID_SHIFT) | vp, -1)
+            if slot < 0:
+                if fms is None or not fms[c](j, k):
+                    esc(j)
+                continue
+            if pshift >= 0:
+                key = (tfrs[c][slot] << pshift) | (vad & pmask)
+            else:
+                key = tfrs[c][slot] * psize + vad - vp * psize
+        elif pid_tags:
+            key = vad_l[j] | (pid_l[j] << _PID_SHIFT)
+        else:
+            key = vad_l[j]
         if split and k:
             cl = c + c + 1
         elif split:
             cl = c + c
         else:
             cl = c
-        slot = -1
-        if not mut:
-            if not code:
-                if fms is None or not fms[c](j, k):
-                    esc(j)
-                mut = True
-                continue
-            sb = sb_l[i]
-            w = w_l[i]
-            g = sb + w
-            if rr:
-                slot = ts_l[i]
-        else:
-            if wt and k == 2:
-                esc(j)
-                continue
-            if rr:
-                # TLB keys are built here, from Python ints: packed in
-                # int64 vectors they would wrap for pids >= 2**15.
-                if evls[c]:
-                    slot = tmget[c]((pid_l[j] << _PID_SHIFT) | vp_l[i], -1)
-                elif code:
-                    slot = ts_l[i]
-                else:
-                    slot = ts_l[i]
-                    if slot < 0:
-                        slot = tmget[c]((pid_l[j] << _PID_SHIFT) | vp_l[i], -1)
-                if slot < 0:
-                    if fms is None or not fms[c](j, k):
-                        esc(j)
-                    continue
-                fr = tfrs[c][slot]
-                if pshift >= 0:
-                    pb = (fr << pshift) | off_l[i]
-                else:
-                    pb = fr * psize + off_l[i]
-                bn = pb >> bbits
-                tg = bn >> sbits
-                sb = (bn & smask) * assoc
+        bn = key >> bbits
+        st = bn & smask
+        tg = bn >> sbits
+        fa = flags_a[cl]
+        ta = tags_a[cl]
+        if multi:
+            sb = st * assoc
+            g = sb
+            e = sb + assoc
+            while g < e:
+                f = fa[g]
+                if (f & 1) and ta[g] == tg:
+                    break
+                g += 1
             else:
-                sb = sb_l[i]
-                tg = tg_l[i]
-            if code and sb not in tsets[cl]:
-                w = w_l[i]
-                g = sb + w
-            else:
-                fa = flags_a[cl]
-                ta = tags_a[cl]
                 g = -1
-                w = 0
-                f = 0
-                while w < assoc:
-                    gi = sb + w
-                    f = fa[gi]
-                    if (f & 1) and ta[gi] == tg:
-                        g = gi
-                        break
-                    w += 1
-                if g < 0:
-                    if fms is None or not fms[c](j, k):
-                        esc(j)
-                    continue
-                if k == 2 and not (f & 4):
-                    if fms is None or not fms[c](j, k):
-                        esc(j)
-                    continue
+        else:
+            g = st
+            f = fa[g]
+            if not (f & 1) or ta[g] != tg:
+                g = -1
+        if g < 0 or (k == 2 and not (f & 4)):
+            if fms is None or not fms[c](j, k):
+                esc(j)
+            continue
         refs_l[c] += 1
         cd = cnt_l[c] - 1
         if cd:
@@ -231,7 +195,7 @@ def _walk_chunk(
         else:
             acc[c + c + c + k] += 1
         if multi:
-            pols[cl](sb // assoc, w)
+            pols[cl](st, g - sb)
         if rr:
             ts_a[c][slot] = ticks[c]
             ticks[c] += 1
@@ -269,15 +233,10 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
     bbits = cfg.block_bits
     sbits = cfg.set_bits
     smask = cfg.set_mask
-    # Pid-tagged level-1 tags are (vaddr >> tb) | (pid << (48 - tb)).
-    pid_tag_shift = _PID_SHIFT - bbits - sbits
-    pid_tag_limit = 1 << (63 - pid_tag_shift)
     tlb0 = h0.tlb
     psize = tlb0.layout.page_size
     pshift = tlb0._page_shift if tlb0._page_shift is not None else -1
     pmask = tlb0._page_mask
-    tlb_assoc = tlb0.associativity
-    tlb_sets = tlb0.n_sets
 
     # Flat views of every hierarchy's hot state, indexed by CPU (or by
     # cpu * n_l1 + level for the per-L1 groups).
@@ -287,11 +246,9 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
     rps_a = []
     rpw_a = []
     rpb_a = []
-    dls = []
     pols = []
     insts = []
     chs = []
-    tsets: list[set[int]] = []
     for h in hiers:
         for l1 in h._l1s:
             store = l1.store
@@ -301,26 +258,13 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
             rps_a.append(store.rp_set)
             rpw_a.append(store.rp_way)
             rpb_a.append(store.rp_sub)
-            dls.append(store.dirty_log)
             pols.append(store.policy.on_access)
             insts.append(store.policy.on_install)
             chs.append(store.policy.choose)
-            tsets.append(set())
-    n_groups = len(tags_a)
-    # Zero-copy numpy views over the scalar buffers, for the vectorized
-    # classifier only (the walk reads/writes the buffers directly —
-    # scalar indexing on bytearray/array is ~2x faster than on ndarray).
-    tags_np = [np.frombuffer(a, dtype=np.int64) for a in tags_a]
-    flags_np = [np.frombuffer(a, dtype=np.uint8) for a in flags_a]
     tlbs = [h.tlb for h in hiers]
-    tpid_a = [np.frombuffer(t.pids, dtype=np.int64) for t in tlbs]
-    tvpage_a = [np.frombuffer(t.vpages, dtype=np.int64) for t in tlbs]
-    tframe_a = [np.frombuffer(t.frames, dtype=np.int64) for t in tlbs]
-    tvalid_a = [np.frombuffer(t.valid, dtype=np.uint8) for t in tlbs]
     ts_a = [t.ts for t in tlbs]
     tfrs = [t._frames_py for t in tlbs]
     tmget = [t._map.get for t in tlbs]
-    evls = [t.evict_log for t in tlbs]
     ticks = [t._tick for t in tlbs]
     wbs = [h._wb_entries for h in hiers]
     refs_l = [h._refs for h in hiers]
@@ -331,10 +275,6 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
     counts_l = [h._counts for h in hiers]
     tlb_counts = [t._counts for t in tlbs]
     refs0 = sum(refs_l)
-    for log in dls:
-        del log[:]
-    for log in evls:
-        del log[:]
 
     # Current batch of converted trace fields (rebound per batch; the
     # closures below see the rebinding through the shared cells).
@@ -342,16 +282,6 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
     pid_l: list[int] = []
     kc_l: list[int] = []
     vad_l: list[int] = []
-    cpu_np = pid_np = kind_np = vad_np = None
-
-    def _merge_taint() -> None:
-        for t in range(n_groups):
-            log = dls[t]
-            if log:
-                tset = tsets[t]
-                for g in log:
-                    tset.add(g - g % assoc)
-                del log[:]
 
     # [escapes, native commits]: the walker's meter.  Each escape is
     # also counted under the reason the native screen gave for its
@@ -378,14 +308,12 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
         cnt_l[c] = h._drain_countdown
         ticks[c] = tlbs[c]._tick
         vn[0] = vc.next_value
-        _merge_taint()
 
     def cs(j: int) -> None:
         c = cpu_l[j]
         h = hiers[c]
         h._refs = refs_l[c]
         h.context_switch(pid_l[j])
-        _merge_taint()
 
     def _mk_drain(c: int, h: Any):
         def _drain() -> None:
@@ -469,7 +397,6 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
         gacc = pols[base_g : base_g + n_l1]
         gins = insts[base_g : base_g + n_l1]
         gch = chs[base_g : base_g + n_l1]
-        gts = tsets[base_g : base_g + n_l1]
         counts_c = counts_l[c]
         wb = h.write_buffer
         wdeq = wbs[c]
@@ -485,7 +412,7 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
         # Every peer, in bus attach order (the hierarchies' order),
         # with what the screen and the bus round read and write: its
         # counters, R-cache tags, flags and subentry planes, level-1
-        # groups (tags, flags, versions, taint set) and write buffer.
+        # groups (tags, flags, versions) and write buffer.
         peers = [
             (
                 counts_l[pi],
@@ -497,7 +424,7 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
                 p.rcache.vp_set,
                 p.rcache.vp_way,
                 [
-                    (tags_a[pg], flags_a[pg], vers_a[pg], tsets[pg])
+                    (tags_a[pg], flags_a[pg], vers_a[pg])
                     for pg in range(pi * n_l1, pi * n_l1 + n_l1)
                 ],
                 wbs[pi],
@@ -585,7 +512,7 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
                 for entry in pwb:
                     if entry.pblock & nsub_mask == base_pb:
                         return True
-                for ptg, pfl, _, _ in pl1s:
+                for ptg, pfl, _ in pl1s:
                     i2 = 0
                     while i2 < n_sub:
                         bn1 = base_pb + i2
@@ -659,7 +586,7 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
                     hits = []
                     dirty = psg >= 0 and psfl[psg] & _S_RDIRTY
                     for half in pl1s:
-                        ptg, pfl, _, _ = half
+                        ptg, pfl, _ = half
                         pw = 0
                         while pw < assoc:
                             pgi = psb + pw
@@ -697,8 +624,7 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
             # Commit one transaction screened by ``plan_round``, in
             # ``Bus._complete``'s order: the bus count, each peer's
             # snoop, then the data source.  Returns (shared, data
-            # version; -1 for an invalidation).  Every level-1 flag it
-            # changes taints that set for the peer's later references.
+            # version; -1 for an invalidation).
             bus_counts[_BUS_KEYS[op]] += 1
             shared = False
             sup = -1
@@ -710,13 +636,12 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
                     if op != _INV:
                         if pf & _S_VDIRTY:
                             # Flush the level-1 child through the v-pointer.
-                            _, cfl, cvr, cts = pl1s[pvpc[psg]]
+                            _, cfl, cvr = pl1s[pvpc[psg]]
                             cgi = pvps[psg] * assoc + pvpw[psg]
                             pcounts["l1_coherence_flushes"] += 1
                             sup = cvr[cgi]
                             psvr[psg] = sup
                             cfl[cgi] &= 0xFB
-                            cts.add(cgi - cgi % assoc)
                             pf &= ~(_S_VDIRTY | _S_RDIRTY)
                         elif pf & _S_RDIRTY:
                             sup = psvr[psg]
@@ -725,10 +650,8 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
                         psfl[psg] = pf
                     if op != _READ:
                         if pf & _S_INCL:
-                            _, cfl, _, cts = pl1s[pvpc[psg]]
-                            cgi = pvps[psg] * assoc + pvpw[psg]
-                            cfl[cgi] = 0
-                            cts.add(cgi - cgi % assoc)
+                            _, cfl, _ = pl1s[pvpc[psg]]
+                            cfl[pvps[psg] * assoc + pvpw[psg]] = 0
                             pcounts["l1_coherence_invalidations"] += 1
                         drop_sub(prfl, psfl, psvr, pvpc, psg)
                     continue
@@ -737,11 +660,10 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
                     shared = True
                 if op != _INV:
                     psup = -1
-                    for (_, hfl, hvr, hts), pgi in hits:
+                    for (_, hfl, hvr), pgi in hits:
                         if hfl[pgi] & 4:
                             psup = hvr[pgi]
                             hfl[pgi] &= 0xFB
-                            hts.add(pgi - pgi % assoc)
                             break
                     if psg >= 0:
                         pf = psfl[psg]
@@ -753,9 +675,8 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
                     if psup >= 0:
                         sup = psup
                 if op != _READ:
-                    for (_, hfl, _, hts), pgi in hits:
+                    for (_, hfl, _), pgi in hits:
                         hfl[pgi] = 0
-                        hts.add(pgi - pgi % assoc)
                     if psg >= 0:
                         drop_sub(prfl, psfl, psvr, pvpc, psg)
             if op == _INV:
@@ -889,7 +810,6 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
                 if incl:
                     sfl[sg] |= _S_VDIRTY
                 gvr[lv][g] = v
-                gts[lv].add(sb)
                 meter[1] += 1
                 return True
             # Level-1 miss.
@@ -1073,7 +993,6 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
                                     mem_counts["writes"] += 1
                                     mv[pb2] = svr[sg2]
                                 cfl[cgi] = cf & 0xF8
-                                gts[ci].add(cgi - cgi % assoc)
                             elif (sf2 & _S_RDIRTY) and not (sf2 & _S_BUF):
                                 bus_counts["write_back"] += 1
                                 mem_counts["writes"] += 1
@@ -1187,7 +1106,6 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
                 if incl:
                     sfl[sg] |= _S_VDIRTY
                 gvr[lv][vg] = v
-            gts[lv].add(sb)
             meter[1] += 1
             return True
 
@@ -1218,139 +1136,10 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
                 tlb_counts[c]["hits"] += delta
                 tacc[c] = 0
 
-    def _classify(s: int, e: int):
-        """Vectorized verdicts for trace slice ``s..e`` of the batch."""
-        ka = kind_np[s:e]
-        ca = cpu_np[s:e]
-        va = vad_np[s:e]
-        pa = pid_np[s:e]
-        m = e - s
-        code = np.where(ka >= 3, ka, 0)
-        sb = np.zeros(m, dtype=np.int64)
-        tg = np.zeros(m, dtype=np.int64)
-        wy = np.zeros(m, dtype=np.int64)
-        if rr:
-            tsl = np.full(m, -1, dtype=np.int64)
-            vp = np.zeros(m, dtype=np.int64)
-            off = np.zeros(m, dtype=np.int64)
-        mem = ka < 3
-        for c in range(n_cpus):
-            idx = np.nonzero(mem & (ca == c))[0]
-            if idx.size == 0:
-                continue
-            v = va[idx]
-            p = pa[idx]
-            k = ka[idx]
-            if rr:
-                if pshift >= 0:
-                    vpage = v >> pshift
-                    o = v & pmask
-                else:
-                    vpage = v // psize
-                    o = v - vpage * psize
-                tbase = (vpage % tlb_sets) * tlb_assoc
-                thit = np.zeros(idx.size, dtype=bool)
-                tfr = np.zeros(idx.size, dtype=np.int64)
-                tsl_c = np.full(idx.size, -1, dtype=np.int64)
-                tp = tpid_a[c]
-                tv = tvpage_a[c]
-                tf = tframe_a[c]
-                tva = tvalid_a[c]
-                for w in range(tlb_assoc):
-                    sl = tbase + w
-                    hw = (tva[sl] != 0) & (tp[sl] == p) & (tv[sl] == vpage)
-                    new = hw & ~thit
-                    tfr = np.where(new, tf[sl], tfr)
-                    tsl_c = np.where(new, sl, tsl_c)
-                    thit |= hw
-                if pshift >= 0:
-                    key = (tfr << pshift) | o
-                else:
-                    key = tfr * psize + o
-                vp[idx] = vpage
-                off[idx] = o
-                tsl[idx] = tsl_c
-                bn = key >> bbits
-                t = bn >> sbits
-            elif pid_tags:
-                # The scalar key is ``vaddr | (pid << 48)``, which wraps
-                # in int64 once pid >= 2**15.  Slice it without forming
-                # it: the pid sits above the index bits, and shifts
-                # distribute over the or.  A pid whose tag does not fit
-                # in int64 is left to the scalar path.
-                thit = p < pid_tag_limit
-                bn = v >> bbits
-                t = np.where(
-                    thit, (bn >> sbits) | (np.where(thit, p, 0) << pid_tag_shift), -1
-                )
-            else:
-                thit = None
-                bn = v >> bbits
-                t = bn >> sbits
-            st = bn & smask
-            sbase = st * assoc
-            sb[idx] = sbase
-            tg[idx] = t
-            for lv in range(n_l1):
-                if split:
-                    ls = np.nonzero((k != 0) == bool(lv))[0]
-                    if ls.size == 0:
-                        continue
-                else:
-                    ls = np.arange(idx.size)
-                sb_g = sbase[ls]
-                tg_g = t[ls]
-                fa = flags_np[c * n_l1 + lv]
-                ta = tags_np[c * n_l1 + lv]
-                hit = np.zeros(ls.size, dtype=bool)
-                dty = np.zeros(ls.size, dtype=bool)
-                wv = np.zeros(ls.size, dtype=np.int64)
-                for w in range(assoc):
-                    gi = sb_g + w
-                    f = fa[gi]
-                    hw = ((f & 1) != 0) & (ta[gi] == tg_g)
-                    new = hw & ~hit
-                    if w:
-                        wv = np.where(new, w, wv)
-                    dty = np.where(new, (f & 4) != 0, dty)
-                    hit |= hw
-                isw = k[ls] == 2
-                if wt:
-                    ok = hit & ~isw
-                else:
-                    ok = hit & (~isw | dty)
-                if thit is not None:
-                    ok &= thit[ls]
-                tgt = idx[ls]
-                code[tgt] = np.where(ok, np.where(isw, 2, 1), 0)
-                wy[tgt] = wv
-        if rr:
-            return (
-                code.tolist(),
-                sb.tolist(),
-                tg.tolist(),
-                wy.tolist(),
-                tsl.tolist(),
-                vp.tolist(),
-                off.tolist(),
-            )
-        empty: list[int] = []
-        return (
-            code.tolist(),
-            sb.tolist(),
-            tg.tolist(),
-            wy.tolist(),
-            empty,
-            empty,
-            empty,
-        )
-
     def _batch_source():
         # Chunked streams (repro.trace.stream) already carry each
-        # batch in the walker's own vector layout — same int64
-        # dtype, same 0-4 kind codes — so their arrays feed the
-        # classifier directly; record iterables are packed into the
-        # same chunks first.
+        # batch as int64 vectors with the same 0-4 kind codes; record
+        # iterables are packed into the same chunks first.
         chunks = getattr(records, "chunks", None)
         source = chunks() if chunks is not None else chunk_iter(records, _BATCH)
         for chunk in source:
@@ -1359,87 +1148,56 @@ def run_soa(machine: Any, records: Any) -> tuple[int, dict[str, Any]]:
                 chunk.pid.tolist(),
                 chunk.vaddr.tolist(),
                 chunk.kind.tolist(),
-                chunk.cpu,
-                chunk.pid,
-                chunk.kind,
-                chunk.vaddr,
             )
 
-    # The names below are the cells _classify / esc / cs close over:
-    # the unpacking must happen in run_soa's own body so each batch
+    # The names below are the cells esc / cs / fmiss close over: the
+    # unpacking must happen in run_soa's own body so each batch
     # rebinds those cells.
-    for cpu_l, pid_l, vad_l, kc_l, cpu_np, pid_np, kind_np, vad_np in (
-        _batch_source()
-    ):
-        count = len(cpu_l)
-        pos = 0
-        while pos < count:
-            end = pos + _CHUNK
-            if end > count:
-                end = count
-            code_l, sb_l, tg_l, w_l, ts_l, vp_l, off_l = _classify(pos, end)
-            for tset in tsets:
-                tset.clear()
-            for log in evls:
-                del log[:]
-            _walk_chunk(
-                pos,
-                end,
-                code_l,
-                sb_l,
-                tg_l,
-                w_l,
-                ts_l,
-                vp_l,
-                off_l,
-                cpu_l,
-                pid_l,
-                kc_l,
-                refs_l,
-                cnt_l,
-                acc,
-                tacc,
-                vn,
-                ticks,
-                tags_a,
-                flags_a,
-                vers_a,
-                ts_a,
-                pols,
-                tsets,
-                wbs,
-                drains,
-                fms,
-                esc,
-                cs,
-                tmget,
-                tfrs,
-                evls,
-                dp,
-                assoc,
-                multi,
-                wt,
-                rr,
-                split,
-                pshift,
-                psize,
-                bbits,
-                sbits,
-                smask,
-            )
-            _flush_counters()
-            pos = end
+    for cpu_l, pid_l, vad_l, kc_l in _batch_source():
+        _walk(
+            cpu_l,
+            pid_l,
+            vad_l,
+            kc_l,
+            refs_l,
+            cnt_l,
+            acc,
+            tacc,
+            vn,
+            ticks,
+            tags_a,
+            flags_a,
+            vers_a,
+            ts_a,
+            pols,
+            wbs,
+            drains,
+            fms,
+            esc,
+            cs,
+            tmget,
+            tfrs,
+            dp,
+            assoc,
+            multi,
+            wt,
+            rr,
+            pid_tags,
+            split,
+            pshift,
+            pmask,
+            psize,
+            bbits,
+            sbits,
+            smask,
+        )
+        _flush_counters()
 
     for c, h in enumerate(hiers):
         h._refs = refs_l[c]
         h._drain_countdown = cnt_l[c]
         tlbs[c]._tick = ticks[c]
     vc.next_value = vn[0]
-    _flush_counters()
-    for log in dls:
-        del log[:]
-    for log in evls:
-        del log[:]
     return sum(refs_l) - refs0, {
         "escapes": meter[0],
         "native": meter[1],

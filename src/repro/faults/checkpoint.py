@@ -245,6 +245,8 @@ def restore_machine(machine: Multiprocessor, state: dict) -> tuple[int, int]:
             f"machine has {machine.n_cpus}"
         )
     machine.version_counter.next_value = state["next_version"]
+    # A checkpoint holds no value oracle.
+    machine.value_oracle = None
     if "layout" in state and hasattr(machine.layout, "restore_state"):
         machine.layout.restore_state(state["layout"])
     machine.bus.memory.restore_state(state["memory"])
@@ -334,7 +336,9 @@ def run_checkpointed(
     successful completion the checkpoint file is deleted.
     *check_values* and *guard* are passed to every chunk's
     :meth:`Multiprocessor.run`; a checkpoint holds no guard state, so
-    a resumed guard paces its checks from the resume point.
+    a resumed guard paces its checks from the resume point.  Nor does
+    it hold the value oracle, so a checked run refuses to resume
+    (:class:`ValueError`).
     *on_chunk* is called with the trace position after each saved
     chunk — the test suite uses it to kill the run mid-trace.
     """
@@ -368,6 +372,11 @@ def run_checkpointed(
                 raise CheckpointError(
                     f"checkpoint {path} belongs to a different run: "
                     f"{state['key']} != {key}"
+                )
+            if check_values:
+                raise ValueError(
+                    f"cannot check values on a run resumed from {path}: "
+                    "a checkpoint holds no value oracle"
                 )
             position, refs_done = restore_machine(machine, state)
     cursor: TraceCursor | StreamCursor

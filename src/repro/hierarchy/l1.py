@@ -52,11 +52,7 @@ class L1Cache:
         self.config = config
         self.index = index
         self.name = name
-        # The change log is the replay walker's: it drains the log to
-        # learn which level-1 sets the protocol code touched.
-        self.store = TagStore(
-            config, replacement=replacement, seed=seed, dirty_log=[]
-        )
+        self.store = TagStore(config, replacement=replacement, seed=seed)
         # The processor-side lookup is pure forwarding, and the replay
         # loop performs it once per reference: expose the tag store's
         # bound method directly so the wrapper frame disappears.

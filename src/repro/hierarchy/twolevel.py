@@ -253,18 +253,6 @@ class TwoLevelHierarchy:
         self.stats.counters.add("swapped_blocks", demoted)
         return demoted
 
-    def clear_change_logs(self) -> None:
-        """Drop the level-1 and TLB change logs.
-
-        The logs only carry information while the replay walker
-        (``repro.core.soa.run_soa``) is consuming them; a long run of
-        the scalar loop (a guarded or value-checked replay, the
-        reference run) would otherwise grow them without bound.
-        """
-        for l1 in self._l1s:
-            del l1.store.dirty_log[:]
-        del self.tlb.evict_log[:]
-
     def drain_write_buffer(self) -> int:
         """Synchronously retire every write-buffer entry (for tests
         and end-of-simulation settling).  Returns entries drained."""

@@ -33,11 +33,9 @@ class TLB:
     valid), one slot per way, set-major.  A hit refreshes the entry's
     timestamp; a miss that finds its set full evicts the entry with
     the smallest timestamp (least recently used or inserted).
-    Resident entries never move between slots, which is what lets the
-    replay walker cache a (key -> slot) classification across a chunk;
-    every slot that loses its entry is appended to :attr:`evict_log`
-    so the walker can tell when that classification may have gone
-    stale.
+    Resident entries never move between slots, so the replay walker
+    finds a resident entry's slot in the same key -> slot map the
+    scalar path reads.
 
     >>> layout = MemoryLayout()
     >>> seg = layout.add_private_segment(pid=1, name="d", base_vaddr=0x4000, n_pages=2)
@@ -59,7 +57,6 @@ class TLB:
         "frames",
         "ts",
         "valid",
-        "evict_log",
         "_tick",
         "_map",
         "_frames_py",
@@ -90,7 +87,6 @@ class TLB:
         self.frames = array("q", bytes(8 * n_entries))
         self.ts = array("q", bytes(8 * n_entries))
         self.valid = bytearray(n_entries)
-        self.evict_log: list[int] = []
         self._tick = 0
         # Resident key -> slot, and the frames as plain ints for
         # scalar reads.
@@ -146,7 +142,6 @@ class TLB:
             if count >= self.associativity:
                 del self._map[(self.pids[oldest] << PID_SHIFT) | self.vpages[oldest]]
                 valid[oldest] = 0
-                self.evict_log.append(oldest)
                 self._counts["evictions"] += 1
                 free = oldest
             self.pids[free] = pid
@@ -161,10 +156,6 @@ class TLB:
             return (frame << shift) | offset
         return frame * page_size + offset
 
-    def _drop(self, slot: int) -> None:
-        self.valid[slot] = 0
-        self.evict_log.append(slot)
-
     def flush(self) -> None:
         """Invalidate every entry (full flush)."""
         # One "flushed_entries" add per set, including zero-valued adds
@@ -173,7 +164,7 @@ class TLB:
         per_set = [0] * self.n_sets
         for key, slot in self._map.items():
             per_set[(key & _VPAGE_MASK) % self.n_sets] += 1
-            self._drop(slot)
+            self.valid[slot] = 0
         self._map.clear()
         for count in per_set:
             self.stats.add("flushed_entries", count)
@@ -187,7 +178,7 @@ class TLB:
                 per_set[(key & _VPAGE_MASK) % self.n_sets].append(key)
         for bucket in per_set:
             for key in bucket:
-                self._drop(self._map.pop(key))
+                self.valid[self._map.pop(key)] = 0
             self.stats.add("flushed_entries", len(bucket))
         self.stats.add("selective_flushes")
 
@@ -224,11 +215,11 @@ class TLB:
     def restore_state(self, state: dict) -> None:
         """Replace TLB contents (including LRU order) with a snapshot's."""
         self._map.clear()
-        # In-place wipes: the walker's numpy views share these buffers.
+        # Wiped in place, so every holder of these buffers sees the
+        # snapshot.
         self.valid[:] = bytes(len(self.valid))
         self.ts[:] = array("q", bytes(8 * len(self.ts)))
         self._tick = 0
-        del self.evict_log[:]
         for set_index, entries in enumerate(state["sets"]):
             base = set_index * self.associativity
             for w, (key, frame) in enumerate(entries):

@@ -5,7 +5,8 @@ per CPU on a single snooping bus and replays a trace through them.
 It owns the global write-version counter, so a value oracle (enabled
 with ``check_values=True``) can verify that every read observes the
 most recent write to its physical block — across CPUs, synonyms,
-context switches and write buffers.
+context switches and write buffers.  The oracle lives as long as the
+machine, so a checked trace may be replayed in pieces.
 """
 
 from __future__ import annotations
@@ -135,6 +136,7 @@ class Multiprocessor:
         "config",
         "bus",
         "version_counter",
+        "value_oracle",
         "hierarchies",
     )
 
@@ -150,6 +152,10 @@ class Multiprocessor:
         self.config = config
         self.bus = Bus(MainMemory())
         self.version_counter = VersionCounter()
+        # Physical block -> latest written version, read and updated by
+        # every checked run; None once an unchecked run or a checkpoint
+        # restore has changed the machine behind its back.
+        self.value_oracle: dict[int, int] | None = {}
         self.hierarchies = [
             TwoLevelHierarchy(
                 config,
@@ -205,7 +211,10 @@ class Multiprocessor:
         With *check_values*, every read is compared against a value
         oracle (the globally most recent write to its physical block);
         a mismatch raises :class:`ProtocolError`, making this the
-        strongest end-to-end coherence check in the test suite.
+        strongest end-to-end coherence check in the test suite.  The
+        oracle is the machine's, so consecutive checked runs check one
+        trace in pieces.  A run without *check_values* does not keep
+        it, and a checked run after one raises :class:`ValueError`.
 
         *guard* (a ``repro.faults.InvariantGuard``, duck-typed so the
         system layer carries no dependency on the faults package)
@@ -216,6 +225,13 @@ class Multiprocessor:
         number of references already replayed, so an error names the
         absolute index.
         """
+        if check_values and self.value_oracle is None:
+            raise ValueError(
+                "value oracle is stale: an unchecked run or a checkpoint "
+                "restore changed this machine since its last checked run"
+            )
+        oracle = self.value_oracle if check_values else None
+        self.value_oracle = oracle
         # Wall-clock reads time the replay for SimulationResult.timings
         # — metadata, never simulation state (repro-lint RPS102
         # pragmas mark each read).
@@ -231,12 +247,9 @@ class Multiprocessor:
             if guard is not None:
                 guard.watch(self.bus, self.hierarchies)
             try:
-                refs = self._run_fast(
-                    records, guard, {} if check_values else None, ref_offset
-                )
+                refs = self._run_fast(records, guard, oracle, ref_offset)
             finally:
                 self.bus.observer = observer
-            self._clear_change_logs()
         timings = {"replay_s": perf_counter() - started}  # rps: ignore[RPS102]
         return self._result(refs, timings, walker)
 
@@ -248,18 +261,12 @@ class Multiprocessor:
         (``repro-diff``, the equivalence tests); :meth:`run` takes it
         only for a guarded or value-checked run.
         """
+        self.value_oracle = None
         started = perf_counter()  # rps: ignore[RPS102]
         refs = self._run_fast(records)
-        self._clear_change_logs()
         return self._result(
             refs, {"replay_s": perf_counter() - started}  # rps: ignore[RPS102]
         )
-
-    def _clear_change_logs(self) -> None:
-        # The change logs are only consumed by the walker; a long run
-        # of the scalar path would grow them unboundedly.
-        for hier in self.hierarchies:
-            hier.clear_change_logs()
 
     def _result(
         self,

@@ -12,7 +12,7 @@ The chunk layout is deliberately the replay walker's own batch
 layout: ``run_soa`` consumes the vectors directly (no ``TraceRecord``
 objects are ever built), while the scalar loop and the guarded replay
 iterate :meth:`TraceChunk.records`, which yields real records.  The
-kind encoding is shared with the walker's classifier:
+kind encoding is shared with the walker:
 
 ====  =========
 code  kind
@@ -42,7 +42,7 @@ from ..common.errors import TraceFormatError
 from .record import RefKind, TraceRecord
 
 #: Records per chunk unless a stream overrides it.  Matches the
-#: walker's 64k-record classifier batch, so one chunk is one batch.
+#: walker's 64k-record batch, so one chunk is one batch.
 DEFAULT_CHUNK_RECORDS = 1 << 16
 
 #: RefKind -> integer code (the walker's batch encoding).

@@ -1,8 +1,9 @@
 """Replay equivalence: the walker against the scalar reference loop.
 
 ``Multiprocessor.run`` replays through the walker (``repro.core.soa``),
-which classifies references in vectors and commits hits and common
-misses straight over the state arrays; ``Multiprocessor.run_scalar``
+which looks each reference up in the state arrays in trace order and
+commits hits and common misses straight over them;
+``Multiprocessor.run_scalar``
 sends every reference through ``TwoLevelHierarchy.access``.  The two
 must be *bit-identical*.  This module holds the deterministic half of
 that argument:
@@ -208,12 +209,11 @@ class TestPeerShapes:
     (two subentries, so a fill is two bus transactions); ``B`` shares
     ``A``'s level-1 set but not its level-2 set.  CPU 0 runs pid 1 and
     CPU 1 pid 2, both mapping the page at ``A``.  Each case replays a
-    set-up trace and then the shape's trace, so the shape's chunk is
-    classified with the set-up's copies in place.  In four cases the
-    shape ends with a peer reference classified a level-1 hit (or a
-    dirty write hit) that the round then invalidated or flushed: only
-    the bus round's taint of the peer's level-1 set makes the walker
-    re-check it.
+    set-up trace and then the shape's trace, so the shape starts with
+    the set-up's copies in place.  In four cases the shape ends with a
+    peer reference to a block that was a level-1 hit (or a dirty write
+    hit) before the round invalidated or flushed it: the walk must read
+    the peer's live level-1 state, not what it held before the round.
     """
 
     A = 0x10000
@@ -223,7 +223,7 @@ class TestPeerShapes:
     CASES = {
         "clean-peer-copy": ([(1, R, A)], [(0, R, A)]),
         # CPU 0's read flushes CPU 1's dirty child, so CPU 1's write,
-        # classified a dirty hit, is a clean write hit on SHARED.
+        # a dirty hit before the round, is a clean write hit on SHARED.
         "peer-vdirty-flush": ([(1, W, A)], [(0, R, A), (1, W, A)]),
         # B evicts CPU 1's dirty A into the write buffer and the 4th
         # reference drains it into level 2 (rdirty), which supplies.

@@ -6,6 +6,8 @@ import weakref
 import pytest
 
 from repro.common.errors import ProtocolError
+from repro.faults.checkpoint import run_checkpointed
+from repro.faults.guard import InvariantGuard
 from repro.hierarchy.checker import check_all, check_coherence
 from repro.hierarchy.config import HierarchyConfig, HierarchyKind
 from repro.system.multiprocessor import Multiprocessor, SimulationResult
@@ -78,27 +80,89 @@ class TestValueOracle:
         check_coherence(machine.hierarchies)
 
     def test_oracle_detects_injected_corruption(self, tiny_workload):
+        """Every dirty level-1 version stamp is corrupted at the split.
+        One dirty block alone may never be read again (the first one
+        found in this trace is not), so all of them are: the second
+        half reads some, and the oracle names the stale read."""
         machine = small_machine(tiny_workload)
         records = tiny_workload.records()
         split = len(records) // 2
         machine.run(records[:split], check_values=True)
-        # Corrupt one dirty version stamp somewhere in the machine.
-        corrupted = False
+        corrupted = 0
         for hier in machine.hierarchies:
             for l1 in hier.l1_caches:
                 for block in l1.store.present_blocks():
                     if block.dirty:
                         block.version += 1_000_000
-                        corrupted = True
-                        break
-                if corrupted:
-                    break
-            if corrupted:
-                break
+                        corrupted += 1
         if not corrupted:
             pytest.skip("no dirty level-1 block at the split point")
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="read version"):
             machine.run(records[split:], check_values=True)
+
+    def test_checked_halves_run_clean(self, tiny_workload):
+        """The oracle is the machine's: the second half of a checked
+        trace is checked against the first half's writes."""
+        machine = small_machine(tiny_workload)
+        records = tiny_workload.records()
+        split = len(records) // 2
+        machine.run(records[:split], check_values=True)
+        machine.run(records[split:], check_values=True)
+
+    def test_checked_checkpointed_run_clean(self, tiny_workload, tmp_path):
+        machine = small_machine(tiny_workload)
+        result = run_checkpointed(
+            machine,
+            tiny_workload.records(),
+            str(tmp_path / "run.ckpt"),
+            chunk=1000,
+            check_values=True,
+        )
+        assert result.refs_processed == tiny_workload.spec.total_refs
+
+    @pytest.mark.parametrize("unchecked", ["walker", "guard", "scalar"])
+    def test_checked_run_after_unchecked_run_raises(self, tiny_workload, unchecked):
+        """An unchecked run does not keep the oracle, so a checked run
+        after it refuses to report reads of versions it never saw."""
+        machine = small_machine(tiny_workload)
+        records = tiny_workload.records()
+        split = len(records) // 2
+        if unchecked == "walker":
+            machine.run(records[:split])
+        elif unchecked == "guard":
+            machine.run(records[:split], guard=InvariantGuard(check_every=100))
+        else:
+            machine.run_scalar(records[:split])
+        with pytest.raises(ValueError, match="value oracle is stale"):
+            machine.run(records[split:], check_values=True)
+
+    def test_checked_run_refuses_to_resume(self, tiny_workload, tmp_path):
+        """A checkpoint holds no oracle: a checked run will not resume
+        from one, and leaves it for an unchecked run to resume."""
+        records = tiny_workload.records()
+        path = tmp_path / "run.ckpt"
+
+        class Stop(Exception):
+            pass
+
+        def stop(position):
+            raise Stop
+
+        with pytest.raises(Stop):
+            run_checkpointed(
+                small_machine(tiny_workload), records, str(path),
+                chunk=1000, on_chunk=stop,
+            )
+        with pytest.raises(ValueError, match="no value oracle"):
+            run_checkpointed(
+                small_machine(tiny_workload), records, str(path),
+                chunk=1000, check_values=True,
+            )
+        assert path.exists()
+        result = run_checkpointed(
+            small_machine(tiny_workload), records, str(path), chunk=1000
+        )
+        assert result.refs_processed == tiny_workload.spec.total_refs
 
 
 class TestSplitAndSizes:

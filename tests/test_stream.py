@@ -463,12 +463,16 @@ class TestStreamedReplay:
     def _config(self):
         return HierarchyConfig.sized("1K", "16K")
 
-    def test_both_engines_match_in_memory_run(self, tmp_path):
+    @pytest.mark.parametrize("frame", [512, 7])
+    def test_both_engines_match_in_memory_run(self, tmp_path, frame):
+        """The walker takes one batch per RPTB frame.  With 7-record
+        frames its counter flushes and batch rebinding land every few
+        references, between escapes, drains and context switches."""
         spec = get_spec("pops", 0.004)
         workload = make_workload("pops", 0.004)
         records = workload.records()
         path = tmp_path / "t.rtb"
-        write_binary(records, path, chunk_records=512)
+        write_binary(records, path, chunk_records=frame)
 
         reference = Multiprocessor(
             workload.layout, spec.n_cpus, self._config()
